@@ -10,7 +10,6 @@ from .combinatorics import (
     Dominance,
     KappaSequence,
     Multipartition,
-    Node,
     Partition,
     ShiftedSymbol,
     a_value_combinatorial,

@@ -20,6 +20,7 @@ The crystal convention is pinned once and for all here:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,8 +29,10 @@ from .combinatorics import (
     Multipartition,
     Partition,
     canonical_key,
+    compositions,
     enumerate_multipartitions,
     multipartition_to_json,
+    orbit_and_stabilizer,
     partitions_of,
     sigma_action,
 )
@@ -59,7 +62,7 @@ class DMPartition:
 class UglovCharge:
     """Quantum characteristic and integer multicharge for one class.
 
-    Each s_j is only pinned modulo `modulus` by the defining root-of-unity
+    Each s_j is only pinned modulo e_prime by the defining root-of-unity
     equation; the minimal-absolute-value representative is chosen (ties go
     positive).  eq4_exact records whether the exact rational relation
     between the residual charges and the s_j held; when it does not, the
@@ -68,7 +71,6 @@ class UglovCharge:
 
     e_prime: int
     s: tuple[int, ...]
-    modulus: int
     eq4_exact: bool = True
     diagnostics: tuple[str, ...] = ()
 
@@ -167,7 +169,7 @@ def charge_for(dm: DMPartition, class_index: int, spec: CycloSpec) -> UglovCharg
                 f"charge relation inexact for index {idx}: m difference {lhs}, predicted {rhs}"
             )
     diagnostics.append(f"s vector {s} chosen modulo {dm.e_prime}")
-    return UglovCharge(dm.e_prime, s, dm.e_prime, eq4, tuple(diagnostics))
+    return UglovCharge(dm.e_prime, s, eq4, tuple(diagnostics))
 
 
 # ---------------------------------------------------------------------------
@@ -299,15 +301,6 @@ class OrbitDatum:
         assert len(self.labels) == self.stabilizer_size
 
 
-def _compositions(n: int, parts: int):
-    if parts == 1:
-        yield (n,)
-        return
-    for first in range(n + 1):
-        for rest in _compositions(n - first, parts - 1):
-            yield (first,) + rest
-
-
 def assemble_basic_set(spec: CycloSpec, l: int, n: int) -> BasicSet:
     """All multipartitions whose class projections are crystal-reachable."""
     if spec.mode != "cyclotomic":
@@ -328,13 +321,13 @@ def assemble_basic_set(spec: CycloSpec, l: int, n: int) -> BasicSet:
 
     elements: list[Multipartition] = []
     expected = 0
-    for comp_sizes in _compositions(n, len(dm.classes)):
+    for comp_sizes in compositions(n, len(dm.classes)):
         pools = [levels[i][ni] for i, ni in enumerate(comp_sizes)]
         count = 1
         for pool in pools:
             count *= len(pool)
         expected += count
-        for choice in _product_of(pools):
+        for choice in itertools.product(*pools):
             comps: list[Partition | None] = [None] * l
             for cls, local in zip(dm.classes, choice):
                 for idx, part in zip(cls, local.components):
@@ -343,16 +336,6 @@ def assemble_basic_set(spec: CycloSpec, l: int, n: int) -> BasicSet:
     assert len(set(elements)) == len(elements) == expected
     elements.sort(key=canonical_key)
     return BasicSet(tuple(elements), spec, l, n, diagnostics)
-
-
-def _product_of(pools):
-    if not pools:
-        yield ()
-        return
-    head, *tail = pools
-    for x in head:
-        for rest in _product_of(tail):
-            yield (x,) + rest
 
 
 def assemble_basic_set_gpn(spec: CycloSpec, l: int, p: int, n: int) -> tuple[OrbitDatum, ...]:
@@ -395,15 +378,9 @@ def assemble_basic_set_gpn(spec: CycloSpec, l: int, p: int, n: int) -> tuple[Orb
     remaining = set(bs.elements)
     data: list[OrbitDatum] = []
     while remaining:
-        seed = next(iter(remaining))
-        orbit = [seed]
-        cur = sigma_action(seed, p, d)
-        while cur != seed:
-            orbit.append(cur)
-            cur = sigma_action(cur, p, d)
+        orbit, stab = orbit_and_stabilizer(next(iter(remaining)), p, d)
         remaining.difference_update(orbit)
-        rep = min(orbit, key=canonical_key)
-        stab = p // len(orbit)
+        rep = orbit[0]
         base = "E^" + multipartition_to_json(rep)
         labels = (base,) if stab == 1 else tuple(f"{base},{i}" for i in range(stab))
         data.append(OrbitDatum(rep, len(orbit), stab, labels))

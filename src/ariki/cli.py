@@ -145,7 +145,7 @@ def _cmd_schur(args) -> int:
     if args.formula in ("mathas", "all"):
         values["mathas"] = schur_mathas(lam)
     if args.formula in ("gim", "all"):
-        values["gim"] = schur_gim(lam, L if L is not None else lam.length)
+        values["gim"] = schur_gim(lam, L)
     rendered = {name: v.render() for name, v in values.items()}
     if args.formula != "all":
         if args.json:

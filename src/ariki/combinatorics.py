@@ -29,7 +29,7 @@ class Partition:
         ps = tuple(self.parts)
         object.__setattr__(self, "parts", ps)
         for i, p in enumerate(ps):
-            if not isinstance(p, int) or p < 1:
+            if not isinstance(p, int) or isinstance(p, bool) or p < 1:
                 raise DomainError(f"parts must be positive integers, got {ps}")
             if i > 0 and ps[i - 1] < p:
                 raise DomainError(f"parts must be weakly decreasing, got {ps}")
@@ -89,15 +89,6 @@ class Multipartition:
         return f"Multipartition({tuple(c.parts for c in self.components)})"
 
 
-@dataclass(frozen=True)
-class Node:
-    """A box of a multipartition: component (0-based), row and column (1-based)."""
-
-    component: int
-    row: int
-    col: int
-
-
 def mp(*components: Sequence[int]) -> Multipartition:
     """Shorthand constructor from part sequences."""
     return Multipartition(tuple(Partition(tuple(c)) for c in components))
@@ -146,11 +137,7 @@ def conjugate(p: Partition) -> Partition:
 
 def n_function(p: Partition) -> int:
     """sum over rows of (i-1) * lambda_i."""
-    row_form = sum((i - 1) * part for i, part in enumerate(p.parts, start=1))
-    conj = conjugate(p)
-    col_form2 = sum((c - 1) * c for c in conj.parts)
-    assert col_form2 % 2 == 0 and row_form == col_form2 // 2
-    return row_form
+    return sum((i - 1) * part for i, part in enumerate(p.parts, start=1))
 
 
 def gen_hook_length(lam: Partition, mu: Partition, i: int, j: int) -> int:

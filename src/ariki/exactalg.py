@@ -72,10 +72,6 @@ class MultiLaurent:
             exps[1 + j] = e
         return cls(l, {tuple(exps): coeff})
 
-    @classmethod
-    def q_power(cls, l: int, e_q: int, coeff: int = 1) -> "MultiLaurent":
-        return cls.term(l, coeff, e_q=e_q)
-
     # -- ring structure ------------------------------------------------------
 
     def _check(self, other: "MultiLaurent") -> None:
@@ -123,18 +119,6 @@ class MultiLaurent:
         res.l = self.l
         res.terms = out
         return res
-
-    def __pow__(self, n: int) -> "MultiLaurent":
-        if n < 0:
-            raise DomainError("negative power of a general Laurent polynomial")
-        acc = MultiLaurent.one(self.l)
-        base = self
-        while n:
-            if n & 1:
-                acc = acc * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return acc
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MultiLaurent):
@@ -212,7 +196,8 @@ def _pack_terms(terms, shift: tuple[int, ...], width: int) -> dict[int, int]:
         total = 0
         for e, s in zip(exps, shift):
             v = e - s
-            assert 0 <= v < _PACK_GUARD
+            if not 0 <= v < _PACK_GUARD:
+                raise DomainError(f"exponent spread {v} does not fit a packed field of {_PACK_BITS - 1} bits")
             total += v
             key = (key << bits) | v
         out[key | (total << (bits * width))] = c
@@ -286,23 +271,11 @@ def _div_packed(num: dict[int, int], den: dict[int, int], width: int) -> dict[in
 
 
 def exact_divide(num: MultiLaurent, den: MultiLaurent) -> MultiLaurent:
-    """Return c with c * den == num, or raise InexactDivisionError.
-
-    Reduction with respect to the graded-lex order after translating both
-    operands so that all exponents are nonnegative.  If at any step the
-    leading term of the remainder is not divisible by the leading term of
-    the divisor (monomial-wise or as integers), the division is inexact.
-    """
+    """Return c with c * den == num, or raise InexactDivisionError."""
     num._check(den)
     if den.is_zero():
         raise DomainError("division by zero")
-    if num.is_zero():
-        return MultiLaurent.zero(num.l)
-    width = num.l + 1
-    sn, sd = _shift_of(num.terms, width), _shift_of(den.terms, width)
-    quot = _div_packed(_pack_terms(num.terms, sn, width), _pack_terms(den.terms, sd, width), width)
-    total_shift = tuple(a - b for a, b in zip(sn, sd))
-    return MultiLaurent(num.l, _unpack_terms(quot, total_shift, width))
+    return product_divide(num.l, (num,), (den,))
 
 
 def product_divide(
@@ -312,8 +285,11 @@ def product_divide(
 ) -> MultiLaurent:
     """prod(num_factors) divided, exactly and in order, by each den factor.
 
-    Equivalent to chaining ``*`` and ``exact_divide`` but with a single
-    translation to packed monomials for the whole pipeline.
+    Every operand is translated once to packed monomials with nonnegative
+    exponents.  Each division is a reduction with respect to the
+    graded-lex order; if at any step the leading term of the remainder is
+    not divisible by the leading term of the divisor (monomial-wise or as
+    integers), the division is inexact and InexactDivisionError is raised.
     """
     width = l + 1
     acc: dict[int, int] = {0: 1}
@@ -339,20 +315,6 @@ def product_divide(
         for i in range(width):
             shift[i] -= sd[i]
     return MultiLaurent(l, _unpack_terms(acc, tuple(shift), width))
-
-
-def product(l: int, factors: Iterable[MultiLaurent]) -> MultiLaurent:
-    acc = MultiLaurent.one(l)
-    for f in factors:
-        acc = acc * f
-    return acc
-
-
-def divide_sequentially(num: MultiLaurent, divisors: Iterable[MultiLaurent]) -> MultiLaurent:
-    acc = num
-    for d in divisors:
-        acc = exact_divide(acc, d)
-    return acc
 
 
 # ---------------------------------------------------------------------------

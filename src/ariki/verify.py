@@ -256,7 +256,7 @@ def _defect0_worker(job) -> tuple[int, str | None]:
     checks = 0
     for e, v in cases:
         checks += 1
-        by_divisibility = is_defect_zero(lam, e, v, cross_check=False)
+        by_divisibility = is_defect_zero(lam, e, v)
         by_zero_test = not specialise(element, spec_map_root_of_unity(e, 1, v)).is_zero()
         if by_divisibility != by_zero_test:
             return checks, (

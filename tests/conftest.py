@@ -1,5 +1,19 @@
-import ariki.schur
+import pytest
 
-# Cross-checks of the semisimplicity and defect-0 criteria against the raw
-# Schur-element zero test are on throughout the test profile.
-ariki.schur.set_cross_check(True)
+from ariki.combinatorics import enumerate_multipartitions
+from ariki.exactalg import specialise
+from ariki.schur import schur_cancellation_free, spec_map_for
+
+
+def _schur_scan(spec, l, n):
+    """Semisimplicity oracle: every Schur element of rank n survives the specialisation."""
+    theta = spec_map_for(spec, l)
+    return all(
+        not specialise(schur_cancellation_free(lam), theta).is_zero()
+        for lam in enumerate_multipartitions(l, n)
+    )
+
+
+@pytest.fixture
+def schur_scan():
+    return _schur_scan

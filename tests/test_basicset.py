@@ -55,28 +55,28 @@ class TestDMPartition:
         dm = dm_partition(SPEC_312, 3, 2)
         ch = charge_for(dm, 0, SPEC_312)
         assert ch.s == (0, 0)
-        assert ch.e_prime == 2 == ch.modulus
+        assert ch.e_prime == 2
         assert ch.eq4_exact
         assert any("modulo" in d for d in ch.diagnostics)
 
 
 class TestCrystal:
     def test_good_node_tie_goes_to_first_component(self):
-        charge = UglovCharge(2, (0, 0), 2)
+        charge = UglovCharge(2, (0, 0))
         start = mp([], [])
         assert f_tilde(start, 0, charge) == mp([1], [])
         assert f_tilde(start, 1, charge) is None
 
     def test_removable_blocks_addable_on_lower_component(self):
-        charge = UglovCharge(2, (0, 0), 2)
+        charge = UglovCharge(2, (0, 0))
         assert f_tilde(mp([1], []), 0, charge) == mp([1], [1])
         assert f_tilde(mp([1], []), 1, charge) == mp([2], [])
 
     def test_worked_example_layers(self):
-        ch1 = UglovCharge(2, (0, 0), 2)
+        ch1 = UglovCharge(2, (0, 0))
         assert jset(uglov_multipartitions(2, 2, ch1)) == {"[[2],[]]", "[[1],[1]]"}
         assert jset(uglov_multipartitions(2, 1, ch1)) == {"[[1],[]]"}
-        ch2 = UglovCharge(2, (0,), 2)
+        ch2 = UglovCharge(2, (0,))
         assert jset(uglov_multipartitions(1, 1, ch2)) == {"[[1]]"}
         assert jset(uglov_multipartitions(1, 2, ch2)) == {"[[2]]"}
         assert jset(uglov_multipartitions(1, 0, ch2)) == {"[[]]"}
@@ -100,7 +100,7 @@ class TestCrystal:
                 for s in (0, 3):
                     got = {
                         m.components[0]
-                        for m in uglov_multipartitions(1, n, UglovCharge(e, (s,), e))
+                        for m in uglov_multipartitions(1, n, UglovCharge(e, (s,)))
                     }
                     assert got == expected
 
@@ -134,7 +134,7 @@ class TestCrystal:
             (4, (0, 3)), (4, (2, 2)), (2, (0, 0, 1)), (3, (0, 1, 2)), (4, (0, 0, 3)),
         ]
         for e, s in grid:
-            charge = UglovCharge(e, s, e)
+            charge = UglovCharge(e, s)
             for n in range(0, 6):
                 got = set(uglov_multipartitions(len(s), n, charge))
                 expected = {
@@ -143,12 +143,12 @@ class TestCrystal:
                 assert got == expected, (e, s, n)
 
     def test_level_one_large_characteristic_gives_all(self):
-        charge = UglovCharge(7, (0,), 7)
+        charge = UglovCharge(7, (0,))
         for n in range(0, 5):
             assert len(uglov_multipartitions(1, n, charge)) == len(enumerate_multipartitions(1, n))
 
     def test_levels_are_nested_one_node_apart(self):
-        charge = UglovCharge(3, (1, -1), 3)
+        charge = UglovCharge(3, (1, -1))
         levels = uglov_levels(2, 4, charge)
         for rank, layer in enumerate(levels):
             for lam in layer:
@@ -166,10 +166,10 @@ class TestCrystal:
                 assert parents >= 1
 
     def test_degenerate_characteristic(self):
-        assert jset(uglov_multipartitions(1, 2, UglovCharge(1, (0,), 1))) == {"[[2]]", "[[1,1]]"}
-        assert jset(uglov_multipartitions(2, 0, UglovCharge(1, (0, 0), 1))) == {"[[],[]]"}
+        assert jset(uglov_multipartitions(1, 2, UglovCharge(1, (0,)))) == {"[[2]]", "[[1,1]]"}
+        assert jset(uglov_multipartitions(2, 0, UglovCharge(1, (0, 0)))) == {"[[],[]]"}
         with pytest.raises(DomainError):
-            uglov_multipartitions(2, 1, UglovCharge(1, (0, 0), 1))
+            uglov_multipartitions(2, 1, UglovCharge(1, (0, 0)))
 
 
 class TestAssembleBasicSet:
@@ -212,6 +212,21 @@ class TestAssembleBasicSet:
         bs = assemble_basic_set(spec, 2, 3)
         assert len(set(bs.elements)) == len(bs.elements)
         assert all(x.rank == 3 and x.level == 2 for x in bs.elements)
+
+    # Every (spec, l, n) the tests in this file assemble with n > 0,
+    # including the G(l,1,n) ambients of the G(l,p,n) tests.
+    @pytest.mark.parametrize(
+        "spec, l, n",
+        [
+            (SPEC_312, 3, 2),
+            (CycloSpec(e=101, k=1, r=1, charges=(0, 5, -3)), 3, 3),
+            (CycloSpec(e=4, k=1, r=1, charges=(0, 1)), 2, 3),
+            (CycloSpec(e=12, k=1, r=6, charges=(0, 0, 0)), 3, 2),
+            (CycloSpec(e=8, k=3, r=6, charges=(5, -5, 5, -5)), 4, 3),
+        ],
+    )
+    def test_semisimplicity_matches_schur_scan(self, schur_scan, spec, l, n):
+        assert is_semisimple(spec, l, n) == schur_scan(spec, l, n)
 
 
 class TestGPN:
@@ -275,7 +290,7 @@ class TestGPN:
         bs = assemble_basic_set(ambient, 4, 3)
         assert bs.diagnostics  # the inexact charge relation is surfaced
 
-    def test_orbit_count_identity(self):
+    def test_orbit_count_identity(self, schur_scan):
         rng = random.Random(5)
         for _ in range(5):
             e = rng.choice([3, 4, 6, 8, 12])
@@ -285,6 +300,7 @@ class TestGPN:
             orbits = assemble_basic_set_gpn(spec, 2, 2, 3)
             ambient = CycloSpec(e, k, 2 * r, spec.charges * 2)
             bs = assemble_basic_set(ambient, 2, 3)
+            assert is_semisimple(ambient, 2, 3) == schur_scan(ambient, 2, 3)
             assert sum(o.orbit_size for o in orbits) == len(bs.elements)
             assert all(o.orbit_size * o.stabilizer_size == 2 for o in orbits)
             # rotation stability, re-checked here

@@ -42,12 +42,13 @@ class TestSchurCommand:
         assert code == 1 and "error" in err
 
     def test_bad_literal_is_a_parse_failure(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "ariki.cli", "schur", "--lambda", "[[1,2]]"],
-            capture_output=True,
-            text=True,
-        )
-        assert proc.returncode == 2
+        for literal in ("[[1,2]]", "[[true]]"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "ariki.cli", "schur", "--lambda", literal],
+                capture_output=True,
+                text=True,
+            )
+            assert proc.returncode == 2, literal
 
 
 class TestSemisimpleCommand:
@@ -240,3 +241,20 @@ class TestDeterminism:
         first = subprocess.run(argv, capture_output=True).stdout
         second = subprocess.run(argv, capture_output=True).stdout
         assert first == second and first
+
+    def test_same_output_with_asserts_stripped(self):
+        # python -O removes every assert: no output may depend on one.
+        commands = [
+            ["schur", "--lambda", "[[2,1],[1]]", "--formula", "all"],
+            ["semisimple", "--l", "3", "--n", "2", "--e", "12", "--r", "6", "--charges", "3,-1,-2", "--json"],
+            ["basicset", "--l", "3", "--n", "2", "--e", "12", "--r", "6", "--charges", "3,-1,-2", "--json"],
+            ["basicset-gpn", "--l", "3", "--p", "3", "--n", "2", "--e", "12", "--r", "2", "--charges", "0"],
+            ["verify", "--suite", "examples"],
+        ]
+        for argv in commands:
+            plain, optimized = (
+                subprocess.run([sys.executable, *flags, "-m", "ariki.cli", *argv], capture_output=True)
+                for flags in ([], ["-O"])
+            )
+            assert plain.stdout == optimized.stdout and plain.stdout, argv
+            assert plain.returncode == optimized.returncode == 0, argv

@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -91,6 +94,23 @@ class TestExactDivide:
         with pytest.raises(DomainError):
             exact_divide(q_poly((0, 1)), MultiLaurent.zero(1))
         assert exact_divide(MultiLaurent.zero(1), q_poly((0, 2))).is_zero()
+
+    def test_packed_exponent_overflow_is_a_domain_error(self):
+        # (q^(2^27) + 1)(q - 1) / (q - 1) is exact, but its exponents do not
+        # fit a packed field.  Run with and without -O: the guard is no assert.
+        code = (
+            "from ariki.errors import DomainError\n"
+            "from ariki.exactalg import MultiLaurent, exact_divide\n"
+            "q_minus_1 = MultiLaurent(1, {(1, 0): 1, (0, 0): -1})\n"
+            "num = MultiLaurent(1, {(2**27, 0): 1, (0, 0): 1}) * q_minus_1\n"
+            "try:\n"
+            "    exact_divide(num, q_minus_1)\n"
+            "except DomainError:\n"
+            "    print('DomainError')\n"
+        )
+        for flags in ([], ["-O"]):
+            proc = subprocess.run([sys.executable, *flags, "-c", code], capture_output=True, text=True)
+            assert proc.stdout == "DomainError\n", (flags, proc.stderr)
 
     @given(laurent_terms, laurent_terms)
     @settings(max_examples=200, deadline=None)

@@ -24,6 +24,7 @@ from ariki.schur import (
     schur_mathas,
     spec_map_cyclotomic,
     spec_map_for,
+    spec_map_root_of_unity,
     xst_closed,
     xst_factor,
     xst_mathas,
@@ -108,7 +109,7 @@ class TestXst:
     def test_three_components(self):
         lam = mp([2], [1], [1])
         for s, t in ((0, 1), (0, 2), (1, 2)):
-            xst_factor(lam, s, t)
+            assert xst_factor(lam, s, t) == xst_mathas(lam, s, t)
 
     def test_bad_indices(self):
         with pytest.raises(DomainError):
@@ -148,14 +149,19 @@ class TestSemisimplicity:
         assert render(ariki_poly(2, 1)) == "Q0 - Q1"
         assert render(ariki_poly(1, 1)) == "1"
 
-    def test_verdicts(self):
-        assert not is_semisimple(CycloSpec(2, 1, 1, (0,)), 1, 2)
-        assert is_semisimple(CycloSpec(5, 1, 1, (0,)), 1, 2)
-        assert not is_semisimple(CycloSpec(12, 1, 6, (3, -1, -2)), 3, 2)
+    def test_verdicts(self, schur_scan):
+        cases = (
+            (CycloSpec(2, 1, 1, (0,)), 1, 2, False),
+            (CycloSpec(5, 1, 1, (0,)), 1, 2, True),
+            (CycloSpec(12, 1, 6, (3, -1, -2)), 3, 2, False),
+        )
+        for spec, l, n, expected in cases:
+            assert is_semisimple(spec, l, n) == expected == schur_scan(spec, l, n)
 
-    def test_root_of_unity_mode(self):
+    def test_root_of_unity_mode(self, schur_scan):
         spec = CycloSpec(3, 1, 1, (0, 1), mode="rootofunity")
         assert is_semisimple(spec, 2, 1)
+        assert schur_scan(spec, 2, 1)
 
     def test_invalid_spec(self):
         with pytest.raises(DomainError, match="gcd"):
@@ -177,10 +183,13 @@ class TestDefectZero:
             is_defect_zero(mp([1]), 1, (0,))
 
     def test_matches_zero_test_small_grid(self):
-        # cross_check=True (conftest) already re-verifies inside the call
         for e in (2, 3, 4):
-            for lam in enumerate_multipartitions(2, 3):
-                is_defect_zero(lam, e, (0, 1))
+            for v in ((0,), (0, 1)):
+                theta = spec_map_root_of_unity(e, 1, v)
+                for n in (1, 2, 3):
+                    for lam in enumerate_multipartitions(len(v), n):
+                        nonzero = not specialise(schur_cancellation_free(lam), theta).is_zero()
+                        assert is_defect_zero(lam, e, v) == nonzero
 
 
 class TestValuationAValue:
