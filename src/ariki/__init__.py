@@ -28,7 +28,7 @@ from .combinatorics import (
     shifted_symbol,
     sigma_action,
 )
-from .errors import DomainError, InexactDivisionError
+from .errors import DomainError, InexactDivisionError, InternalError
 from .exactalg import (
     CycloLaurent,
     CyclotomicInt,

@@ -36,7 +36,7 @@ from .combinatorics import (
     partitions_of,
     sigma_action,
 )
-from .errors import DomainError
+from .errors import DomainError, InternalError
 from .schur import CycloSpec, is_semisimple
 
 
@@ -93,7 +93,7 @@ def _solve_s(spec: CycloSpec, l: int, anchor: int, idx: int) -> int:
     a = spec.k * l * spec.r
     g = math.gcd(a, m_mod)
     if c % g != 0:
-        raise AssertionError("unsolvable charge congruence inside a connected class")
+        raise InternalError("unsolvable charge congruence inside a connected class")
     period = m_mod // g
     s0 = ((c // g) * pow(a // g, -1, period)) % period if period > 1 else 0
     alt = s0 - period
@@ -136,7 +136,8 @@ def dm_partition(spec: CycloSpec, l: int, n: int) -> DMPartition:
         for b in range(a + 1, len(classes)):
             for i in classes[a]:
                 for j in classes[b]:
-                    assert not _witness_exists(spec, l, n, i, j), "cross-class witness"
+                    if _witness_exists(spec, l, n, i, j):
+                        raise InternalError(f"cross-class witness between components {i} and {j}")
 
     e_prime = spec.e // math.gcd(spec.e, spec.r)
     s_vectors = tuple(
@@ -156,7 +157,8 @@ def charge_for(dm: DMPartition, class_index: int, spec: CycloSpec) -> UglovCharg
     # Substitution check: each s_j really solves its congruence.
     for idx, sj in zip(cls, s):
         c = ((idx - cls[0]) * spec.e + spec.k * l * (spec.charges[idx] - spec.charges[cls[0]])) % m_mod
-        assert (spec.k * l * spec.r * sj - c) % m_mod == 0
+        if (spec.k * l * spec.r * sj - c) % m_mod != 0:
+            raise InternalError(f"s_{idx} = {sj} does not solve its charge congruence")
     diagnostics: list[str] = []
     eq4 = True
     m = dm.m_residual[class_index]
@@ -265,7 +267,8 @@ def uglov_levels(lc: int, n_max: int, charge: UglovCharge) -> list[tuple[Multipa
             for t in range(charge.e_prime):
                 y = f_tilde(x, t, charge)
                 if y is not None:
-                    assert y.rank == x.rank + 1
+                    if y.rank != x.rank + 1:
+                        raise InternalError(f"f_{t} changed the rank from {x.rank} to {y.rank}")
                     nxt.add(y)
         frontier = nxt
         levels.append(tuple(sorted(frontier, key=canonical_key)))
@@ -298,7 +301,8 @@ class OrbitDatum:
     labels: tuple[str, ...]
 
     def __post_init__(self):
-        assert len(self.labels) == self.stabilizer_size
+        if len(self.labels) != self.stabilizer_size:
+            raise InternalError(f"{len(self.labels)} labels for a stabilizer of size {self.stabilizer_size}")
 
 
 def assemble_basic_set(spec: CycloSpec, l: int, n: int) -> BasicSet:
@@ -333,7 +337,10 @@ def assemble_basic_set(spec: CycloSpec, l: int, n: int) -> BasicSet:
                 for idx, part in zip(cls, local.components):
                     comps[idx] = part
             elements.append(Multipartition(tuple(comps)))  # type: ignore[arg-type]
-    assert len(set(elements)) == len(elements) == expected
+    if not len(set(elements)) == len(elements) == expected:
+        raise InternalError(
+            f"assembled {len(elements)} elements ({len(set(elements))} distinct), expected {expected}"
+        )
     elements.sort(key=canonical_key)
     return BasicSet(tuple(elements), spec, l, n, diagnostics)
 
@@ -385,5 +392,6 @@ def assemble_basic_set_gpn(spec: CycloSpec, l: int, p: int, n: int) -> tuple[Orb
         labels = (base,) if stab == 1 else tuple(f"{base},{i}" for i in range(stab))
         data.append(OrbitDatum(rep, len(orbit), stab, labels))
     data.sort(key=lambda o: canonical_key(o.representative))
-    assert sum(o.orbit_size for o in data) == len(bs.elements)
+    if sum(o.orbit_size for o in data) != len(bs.elements):
+        raise InternalError("the rotation orbits do not partition the basic set")
     return tuple(data)

@@ -4,8 +4,8 @@ Subcommands: schur, semisimple, defect0, avalue, basicset, basicset-gpn,
 verify.  Multipartitions are written as JSON arrays of arrays, e.g.
 ``[[2],[],[1,1]]``; rationals print as ``a/b`` in lowest terms.
 
-Exit codes: 0 success, 1 computation-precondition failure, 2 parse or
-flag failure.
+Exit codes: 0 success, 1 computation-precondition failure or internal
+error (a failed integrity check), 2 parse or flag failure.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .combinatorics import (
     multipartition_to_json,
     multipartition_to_obj,
 )
-from .errors import DomainError, InexactDivisionError
+from .errors import DomainError, InexactDivisionError, InternalError
 from .schur import (
     CycloSpec,
     a_value_via_valuation,
@@ -329,7 +329,7 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except InexactDivisionError as exc:
+    except (InexactDivisionError, InternalError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 1
 

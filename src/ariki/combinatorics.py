@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .errors import DomainError
+from .errors import DomainError, InternalError
 
 
 @dataclass(frozen=True)
@@ -368,7 +368,8 @@ def orbit_and_stabilizer(m: Multipartition, p: int, d: int) -> tuple[tuple[Multi
     while cur != m:
         orbit.append(cur)
         cur = sigma_action(cur, p, d)
-    assert p % len(orbit) == 0
+    if p % len(orbit):
+        raise InternalError(f"rotation orbit of size {len(orbit)} does not divide p = {p}")
     orbit.sort(key=canonical_key)
     return tuple(orbit), p // len(orbit)
 

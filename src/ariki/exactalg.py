@@ -11,16 +11,28 @@ Three rings, all with arbitrary-precision integer data and canonical forms:
 
 ``SpecMap`` describes a ring homomorphism sending q and each Q_j to a root
 of unity times a power of u; ``specialise`` applies it.
+
+Specialisation works in linear time.  Each term of the input adds its
+coefficient to one slot of a dense row: one row per u-degree, a vector in
+Z[x]/(x^N - 1).  Each row is then reduced once, by
+``_reduce_mod_cyclotomic``, which folds by x^N - 1, then reduces by
+S_p(x) = 1 + x^(N/p) + ... + x^((p-1)N/p) for the smallest prime p | N (a
+multiple of Phi_N with p nonzero coefficients), and last by the nonzero
+coefficients of Phi_N itself.  Phi_N is monic, so every reduction order
+gives the same power-basis vector.  ``cyclotomic_polynomial`` builds Phi_N
+from the Moebius product over squarefree k | N of (x^(N/k) - 1)^mu(k),
+one linear multiplication or exact division per binomial.
 """
 
 from __future__ import annotations
 
 import heapq
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Mapping
 
-from .errors import DomainError, InexactDivisionError
+from .errors import DomainError, InexactDivisionError, InternalError
 
 # ---------------------------------------------------------------------------
 # Multivariate Laurent polynomials over Z
@@ -107,10 +119,12 @@ class MultiLaurent:
         if len(a) > len(b):
             a, b = b, a
         out: dict[tuple[int, ...], int] = {}
+        add = operator.add
+        get = out.get
         for ea, ca in a.items():
             for eb, cb in b.items():
-                exps = tuple(x + y for x, y in zip(ea, eb))
-                v = out.get(exps, 0) + ca * cb
+                exps = tuple(map(add, ea, eb))
+                v = get(exps, 0) + ca * cb
                 if v:
                     out[exps] = v
                 elif exps in out:
@@ -251,7 +265,8 @@ def _div_packed(num: dict[int, int], den: dict[int, int], width: int) -> dict[in
                 key = cand
                 break
             heapq.heappop(heap)
-        assert key is not None, "heap lost track of the remainder support"
+        if key is None:
+            raise InternalError("heap lost track of the remainder support")
         c_r = rem[key]
         diff = key - lt_d
         if diff < 0 or (diff & guard_mask) or c_r % c_d != 0:
@@ -330,56 +345,106 @@ def _poly_mul(a: list[int], b: list[int]) -> list[int]:
     return out
 
 
-def _poly_divmod_exact(num: list[int], den: list[int]) -> list[int]:
-    # den is monic; used only where the division is known exact.
-    num = list(num)
-    dn = len(den) - 1
-    out = [0] * (len(num) - dn)
-    for i in range(len(num) - 1, dn - 1, -1):
-        c = num[i]
-        if c == 0:
-            continue
-        out[i - dn] = c
-        for j, dj in enumerate(den):
-            num[i - dn + j] -= c * dj
-    if any(num[:dn]):
-        raise InexactDivisionError("cyclotomic polynomial division left a remainder")
+def _prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n, ascending."""
+    primes = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            primes.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        primes.append(n)
+    return primes
+
+
+def _times_binomial(poly: list[int], m: int) -> list[int]:
+    # poly * (x^m - 1)
+    out = [-c for c in poly] + [0] * m
+    for i, c in enumerate(poly):
+        out[i + m] += c
     return out
+
+
+def _over_binomial(poly: list[int], m: int) -> list[int]:
+    # poly / (x^m - 1), which must be exact: quot[i] = quot[i - m] - poly[i].
+    d = len(poly) - 1 - m
+    quot = [0] * (d + 1)
+    for i in range(d + 1):
+        quot[i] = (quot[i - m] if i >= m else 0) - poly[i]
+    if poly[d + 1:] != [quot[i - m] if i >= m else 0 for i in range(d + 1, len(poly))]:
+        raise InexactDivisionError("cyclotomic polynomial division left a remainder")
+    return quot
 
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
-    """Coefficients of the n-th cyclotomic polynomial, constant term first."""
+    """Coefficients of the n-th cyclotomic polynomial, constant term first.
+
+    Phi_n is the product over squarefree k | n of (x^(n/k) - 1)^mu(k): the
+    binomials with mu(k) = 1 are multiplied in first, then those with
+    mu(k) = -1 are divided out exactly, each in time linear in the degree.
+    """
     if n < 1:
         raise DomainError("conductor must be >= 1")
-    if n == 1:
-        return (-1, 1)
-    num = [-1] + [0] * (n - 1) + [1]  # x^n - 1
-    for d in range(1, n):
-        if n % d == 0:
-            num = _poly_divmod_exact(num, list(cyclotomic_polynomial(d)))
-    return tuple(num)
+    squarefree = [(1, 1)]  # (k, mu(k))
+    for p in _prime_factors(n):
+        squarefree += [(k * p, -mu) for k, mu in squarefree]
+    poly = [1]
+    for k, mu in squarefree:
+        if mu == 1:
+            poly = _times_binomial(poly, n // k)
+    for k, mu in squarefree:
+        if mu == -1:
+            poly = _over_binomial(poly, n // k)
+    return tuple(poly)
 
 
 @lru_cache(maxsize=None)
+def _modulus(n: int) -> tuple[int, int, int, tuple[tuple[int, int], ...]]:
+    """(phi(n), deg S_p, n/p, the nonzero lower coefficients of Phi_n) for the least prime p | n."""
+    phi_n = cyclotomic_polynomial(n)
+    tail = tuple((j, c) for j, c in enumerate(phi_n[:-1]) if c)
+    if n == 1:
+        return 1, 1, 1, tail  # folding modulo x - 1 already reduces fully
+    step = n // _prime_factors(n)[0]
+    return len(phi_n) - 1, n - step, step, tail
+
+
 def _phi(n: int) -> int:
-    return len(cyclotomic_polynomial(n)) - 1
+    return _modulus(n)[0]
 
 
 def _reduce_mod_cyclotomic(coeffs: list[int], n: int) -> tuple[int, ...]:
-    phi = _phi(n)
-    mod = cyclotomic_polynomial(n)
-    coeffs = list(coeffs)
-    for i in range(len(coeffs) - 1, phi - 1, -1):
-        c = coeffs[i]
-        if c == 0:
-            continue
-        coeffs[i] = 0
-        for j in range(phi):
-            coeffs[i - phi + j] -= c * mod[j]
-    coeffs = coeffs[:phi]
-    coeffs += [0] * (phi - len(coeffs))
-    return tuple(coeffs)
+    """The power-basis vector of sum(c_i x^i) modulo Phi_n.
+
+    Phi_n divides S_p(x) = sum_{i<p} x^(i*n/p), which divides x^n - 1, so
+    the vector is folded modulo x^n - 1, reduced by S_p (p - 1 subtractions
+    per top coefficient), and only then by the nonzero coefficients of
+    Phi_n.
+    """
+    phi, top, step, tail = _modulus(n)
+    v = list(coeffs)
+    for i in range(n, len(v)):
+        v[i % n] += v[i]
+    del v[n:]
+    for i in range(len(v) - 1, top - 1, -1):
+        c = v[i]
+        if c:
+            for j in range(i - top, i, step):
+                v[j] -= c
+    del v[top:]
+    for i in range(len(v) - 1, phi - 1, -1):
+        c = v[i]
+        if c:
+            base = i - phi
+            for j, m in tail:
+                v[base + j] -= c * m
+    del v[phi:]
+    v += [0] * (phi - len(v))
+    return tuple(v)
 
 
 class CyclotomicInt:
@@ -425,9 +490,6 @@ class CyclotomicInt:
         self._check(other)
         prod = _poly_mul(list(self.coeffs), list(other.coeffs))
         return CyclotomicInt(self.n, _reduce_mod_cyclotomic(prod, self.n))
-
-    def scaled(self, c: int) -> "CyclotomicInt":
-        return CyclotomicInt(self.n, tuple(c * a for a in self.coeffs))
 
     def is_zero(self) -> bool:
         return all(a == 0 for a in self.coeffs)
@@ -551,11 +613,6 @@ class CycloLaurent:
 # Specialisation maps
 
 
-@lru_cache(maxsize=None)
-def _zeta_table(n: int) -> tuple[CyclotomicInt, ...]:
-    return tuple(CyclotomicInt.zeta_power(n, k) for k in range(n))
-
-
 @dataclass(frozen=True)
 class SpecMap:
     """Images of q and the Q_j under a specialisation into Z[zeta_N][u^(+-1)].
@@ -573,23 +630,22 @@ class SpecMap:
 
 
 def specialise(f: MultiLaurent, theta: SpecMap) -> CycloLaurent:
-    """Apply the ring homomorphism described by theta to f."""
+    """Apply the ring homomorphism described by theta to f.
+
+    A term c * q^e_q * Q_0^e_0 ... maps to c * zeta^a * u^b.  Each term adds
+    c to slot a mod N of the dense row for u^b, a vector in Z[x]/(x^N - 1);
+    each row is then reduced modulo Phi_N once, and zero rows are dropped.
+    """
     if f.l != len(theta.Q_images):
         raise DomainError(f"map has {len(theta.Q_images)} Q-images, polynomial has {f.l}")
     n = theta.n
-    zeta_table = _zeta_table(n)
-    out: dict[int, CyclotomicInt] = {}
-    aq, bq = theta.q_image
+    a_images, b_images = zip(theta.q_image, *theta.Q_images)
+    mul = operator.mul
+    rows: dict[int, list[int]] = {}
     for exps, c in f.terms.items():
-        a = exps[0] * aq
-        b = exps[0] * bq
-        for e, (aj, bj) in zip(exps[1:], theta.Q_images):
-            a += e * aj
-            b += e * bj
-        v = zeta_table[a % n].scaled(c)
-        v = out[b] + v if b in out else v
-        if v.is_zero():
-            out.pop(b, None)
-        else:
-            out[b] = v
-    return CycloLaurent(n, out)
+        b = sum(map(mul, exps, b_images))
+        row = rows.get(b)
+        if row is None:
+            row = rows[b] = [0] * n
+        row[sum(map(mul, exps, a_images)) % n] += c
+    return CycloLaurent(n, {b: CyclotomicInt(n, _reduce_mod_cyclotomic(row, n)) for b, row in rows.items()})

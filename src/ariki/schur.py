@@ -23,7 +23,7 @@ from .combinatorics import (
     n_function,
     rebar,
 )
-from .errors import DomainError
+from .errors import DomainError, InternalError
 from .exactalg import (
     CycloLaurent,
     MultiLaurent,
@@ -386,5 +386,6 @@ def a_value_via_valuation(m: Multipartition, charge: ChargeData) -> int:
         raise DomainError(f"charge level {charge.level} != multipartition level {m.level}")
     theta = spec_map_cyclotomic(charge)
     value: CycloLaurent = specialise(schur_cancellation_free(m), theta)
-    assert not value.is_zero(), "cyclotomic specialisation of a Schur element vanished"
+    if value.is_zero():
+        raise InternalError("cyclotomic specialisation of a Schur element vanished")
     return -value.valuation()

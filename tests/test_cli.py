@@ -1,8 +1,11 @@
 import json
+import math
 import subprocess
 import sys
 
+from ariki.basicset import dm_partition
 from ariki.cli import main
+from ariki.schur import CycloSpec
 
 
 def run_cli(capsys, *argv):
@@ -75,6 +78,27 @@ class TestSemisimpleCommand:
         obj = json.loads(out)
         assert obj["verdict"] == "SEMISIMPLE"
         assert obj["thetaP"] == "(1 + z)"
+
+    def test_large_conductors_do_not_hang(self):
+        # The verdict must equal the structural route: e' outside [2, n] and
+        # every Dipper-Mathas class a singleton.
+        cases = [
+            (["--l", "3", "--n", "5", "--e", "100003", "--r", "6", "--charges", "3,-1,-2", "--json"],
+             (3, 5, CycloSpec(100003, 1, 6, (3, -1, -2)))),
+            (["--l", "2", "--n", "4", "--e", "10007", "--r", "1", "--charges", "0,1"],
+             (2, 4, CycloSpec(10007, 1, 1, (0, 1)))),
+        ]
+        for argv, (l, n, spec) in cases:
+            proc = subprocess.run(
+                [sys.executable, "-m", "ariki.cli", "semisimple", *argv],
+                capture_output=True, text=True, timeout=60,
+            )
+            assert proc.returncode == 0, (argv, proc.stderr)
+            e_prime = spec.e // math.gcd(spec.e, spec.r)
+            singletons = all(len(c) == 1 for c in dm_partition(spec, l, n).classes)
+            expected = "SEMISIMPLE" if not (2 <= e_prime <= n) and singletons else "NOT SEMISIMPLE"
+            verdict = json.loads(proc.stdout)["verdict"] if "--json" in argv else proc.stdout.strip()
+            assert verdict == expected, argv
 
     def test_gcd_constraint_named(self, capsys):
         code, _, err = run_cli(
@@ -250,6 +274,8 @@ class TestDeterminism:
             ["basicset", "--l", "3", "--n", "2", "--e", "12", "--r", "6", "--charges", "3,-1,-2", "--json"],
             ["basicset-gpn", "--l", "3", "--p", "3", "--n", "2", "--e", "12", "--r", "2", "--charges", "0"],
             ["verify", "--suite", "examples"],
+            ["semisimple", "--l", "3", "--n", "5", "--e", "499", "--k", "3", "--r", "2", "--charges", "1,0,-4", "--json"],
+            ["avalue", "--lambda", "[[2,1],[1],[]]", "--r", "6", "--charges", "3,-1,-2", "--method", "all"],
         ]
         for argv in commands:
             plain, optimized = (
@@ -258,3 +284,31 @@ class TestDeterminism:
             )
             assert plain.stdout == optimized.stdout and plain.stdout, argv
             assert plain.returncode == optimized.returncode == 0, argv
+
+    def test_broken_invariants_are_internal_errors_with_asserts_stripped(self):
+        # Forged coincidences must stop the run, also under python -O, with
+        # exit 1 and a message.  Forging every witness joins all components
+        # into one class whose charge congruence has no solution; forging
+        # only the re-check (after the three adjacency tests of level 3)
+        # leaves a witness between two classes.
+        forgeries = {
+            "def forged(*args):\n"
+            "    return True\n": "internal error: unsolvable charge congruence",
+            "real, calls = basicset._witness_exists, []\n"
+            "def forged(*args):\n"
+            "    calls.append(args)\n"
+            "    return len(calls) > 3 or real(*args)\n": "internal error: cross-class witness",
+        }
+        for forged, message in forgeries.items():
+            code = (
+                "import sys\n"
+                "from ariki import basicset, cli\n"
+                f"{forged}"
+                "basicset._witness_exists = forged\n"
+                "sys.exit(cli.main(['basicset', '--l', '3', '--n', '2', '--e', '12', '--r', '6', '--charges', '3,-1,-2']))\n"
+            )
+            for flags in ([], ["-O"]):
+                proc = subprocess.run([sys.executable, *flags, "-c", code], capture_output=True, text=True)
+                assert proc.returncode == 1, (flags, proc.stderr)
+                assert proc.stdout == "", flags
+                assert proc.stderr.startswith(message), (flags, proc.stderr)

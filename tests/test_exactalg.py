@@ -1,5 +1,7 @@
+import random
 import subprocess
 import sys
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,8 @@ from ariki.exactalg import (
     CyclotomicInt,
     MultiLaurent,
     SpecMap,
+    _poly_mul,
+    _reduce_mod_cyclotomic,
     cyclotomic_polynomial,
     exact_divide,
     product_divide,
@@ -141,6 +145,104 @@ class TestRender:
         assert MultiLaurent(1, {(0, -1): 1}).render() == "Q0^-1"
 
 
+# ---------------------------------------------------------------------------
+# Reference routes for the cyclotomic kernels: the slow, obviously-correct
+# algorithms that the linear-time kernels replaced.
+
+
+def _ref_divide_exact(num, den):
+    # Long division by a monic den, skipping its zero coefficients.
+    num = list(num)
+    dn = len(den) - 1
+    support = [(j, dj) for j, dj in enumerate(den) if dj]
+    out = [0] * (len(num) - dn)
+    for i in range(len(num) - 1, dn - 1, -1):
+        c = num[i]
+        if c:
+            out[i - dn] = c
+            for j, dj in support:
+                num[i - dn + j] -= c * dj
+    assert not any(num[:dn]), "remainder"
+    return out
+
+
+@lru_cache(maxsize=None)
+def _ref_cyclotomic(n):
+    # Recursive division: Phi_n = (x^n - 1) / prod of Phi_d over d | n, d < n.
+    den = [1]
+    for d in range(1, n):
+        if n % d == 0:
+            den = _poly_mul(den, list(_ref_cyclotomic(d)))
+    return tuple(_ref_divide_exact([-1] + [0] * (n - 1) + [1], den))
+
+
+def _ref_reduce(coeffs, n):
+    # Plain long division by the full Phi_n.
+    mod = _ref_cyclotomic(n)
+    phi = len(mod) - 1
+    coeffs = list(coeffs)
+    for i in range(len(coeffs) - 1, phi - 1, -1):
+        c = coeffs[i]
+        if c:
+            for j in range(phi + 1):
+                coeffs[i - phi + j] -= c * mod[j]
+    coeffs = coeffs[:phi]
+    return tuple(coeffs + [0] * (phi - len(coeffs)))
+
+
+@lru_cache(maxsize=None)
+def _ref_zeta_power(n, a):
+    return CyclotomicInt(n, _ref_reduce([0] * a + [1], n))
+
+
+def _ref_specialise(f, theta):
+    # The per-term sum of c * zeta^a * u^b.
+    n = theta.n
+    out = CycloLaurent.zero(n)
+    for exps, c in f.terms.items():
+        a = exps[0] * theta.q_image[0] + sum(e * aj for e, (aj, _) in zip(exps[1:], theta.Q_images))
+        b = exps[0] * theta.q_image[1] + sum(e * bj for e, (_, bj) in zip(exps[1:], theta.Q_images))
+        zeta_a = _ref_zeta_power(n, a % n)
+        out = out + CycloLaurent(n, {b: CyclotomicInt(n, (c * x for x in zeta_a.coeffs))})
+    return out
+
+
+LARGE_CONDUCTORS = (1497, 1996, 20014)
+
+
+@st.composite
+def laurent_and_map(draw):
+    l = draw(st.integers(1, 3))
+    terms = draw(
+        st.dictionaries(
+            st.tuples(*[st.integers(-4, 4)] * (l + 1)), st.integers(-5, 5).filter(bool), max_size=6
+        )
+    )
+    n = draw(st.sampled_from(list(range(1, 31)) + [202, 303, 1497]))
+    images = draw(st.lists(st.tuples(st.integers(0, 2 * n), st.integers(-3, 3)), min_size=l + 1, max_size=l + 1))
+    images[0] = (images[0][0], draw(st.integers(1, 3)))  # q always moves in u
+    return MultiLaurent(l, terms), SpecMap(n=n, q_image=images[0], Q_images=tuple(images[1:]))
+
+
+class TestCyclotomicKernels:
+    def test_polynomial_matches_recursive_division(self):
+        for n in list(range(1, 401)) + list(LARGE_CONDUCTORS):
+            assert cyclotomic_polynomial(n) == _ref_cyclotomic(n), n
+
+    def test_reducer_matches_long_division(self):
+        rng = random.Random(20014)
+        for n in list(range(1, 61)) + [202, 210, 303, 1497]:
+            for length in sorted({1, n, 2 * n, rng.randint(1, 2 * n), rng.randint(1, 2 * n)}):
+                coeffs = [rng.randint(-9, 9) for _ in range(length)]
+                assert _reduce_mod_cyclotomic(coeffs, n) == _ref_reduce(coeffs, n), (n, length)
+
+    @given(laurent_and_map())
+    @settings(max_examples=120, deadline=None)
+    def test_specialise_matches_per_term_sum(self, case):
+        f, theta = case
+        assert specialise(f, theta) == _ref_specialise(f, theta)
+
+
 class TestCyclotomic:
     def test_polynomials(self):
         assert cyclotomic_polynomial(1) == (-1, 1)
@@ -148,14 +250,12 @@ class TestCyclotomic:
         assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
 
     def test_product_over_divisors(self):
-        from ariki.exactalg import _poly_mul
-
-        for n in range(1, 25):
+        for n in list(range(1, 25)) + list(LARGE_CONDUCTORS):
             prod = [1]
             for d in range(1, n + 1):
                 if n % d == 0:
                     prod = _poly_mul(prod, list(cyclotomic_polynomial(d)))
-            assert prod == [-1] + [0] * (n - 1) + [1]
+            assert prod == [-1] + [0] * (n - 1) + [1], n
 
     def test_zeta_squares(self):
         z4 = CyclotomicInt.zeta_power(4, 1)
