@@ -9,6 +9,13 @@ Three rings, all with arbitrary-precision integer data and canonical forms:
 * ``CycloLaurent`` -- Laurent polynomials in one variable u with
   CyclotomicInt coefficients.
 
+``product_divide`` divides a product of MultiLaurent factors exactly by
+another.  It cancels factors before it expands anything: a den factor that
+equals a num factor up to a unit +-monomial cancels it, one left over
+divides a single num factor where it can, and only the factors still left
+are multiplied out and divided, on packed integer monomials whose field
+width is sized per call.
+
 ``SpecMap`` describes a ring homomorphism sending q and each Q_j to a root
 of unity times a power of u; ``specialise`` applies it.
 
@@ -160,10 +167,10 @@ class MultiLaurent:
         if not self.terms:
             return "0"
         parts: list[str] = []
+        names = ["q"] + [f"Q{j}" for j in range(self.l)]
         for exps in sorted(self.terms, key=_monomial_key, reverse=True):
             c = self.terms[exps]
             factors: list[str] = []
-            names = ["q"] + [f"Q{j}" for j in range(self.l)]
             for name, e in zip(names, exps):
                 if e == 0:
                     continue
@@ -184,42 +191,36 @@ class MultiLaurent:
 
 
 # Packed monomial encoding used by the reduction core.  A key holds
-# (total degree, e_q, e_{Q_0}, ...) in fixed-width nonnegative fields,
+# (total degree, e_q, e_{Q_0}, ...) in nonnegative fields of ``bits`` bits,
 # most significant first, so integer comparison of keys is exactly the
 # graded-lex order on (e_q, e_{Q_0}, ...), addition of keys is monomial
-# multiplication, and a borrow during subtraction flags non-divisibility.
-_PACK_BITS = 28
-_PACK_GUARD = 1 << (_PACK_BITS - 1)
+# multiplication, and a borrow during subtraction sets the top (guard) bit
+# of a field, which flags non-divisibility.  That flag is sound while every
+# field stays below the guard bit; ``product_divide`` sizes the fields so.
+_MIN_PACK_BITS = 28
 
 
-def _shift_of(terms, width: int) -> tuple[int, ...]:
-    its = iter(terms)
-    m = list(next(its))
-    for exps in its:
-        for i in range(width):
-            if exps[i] < m[i]:
-                m[i] = exps[i]
-    return tuple(m)
+def _bounds(terms) -> tuple[tuple[int, ...], int]:
+    """(the least exponent of each variable, the sum over variables of the exponent spreads)."""
+    cols = tuple(zip(*terms))
+    lo = tuple(map(min, cols))
+    return lo, sum(map(max, cols)) - sum(lo)
 
 
-def _pack_terms(terms, shift: tuple[int, ...], width: int) -> dict[int, int]:
-    bits = _PACK_BITS
+def _pack_terms(terms, shift: tuple[int, ...], width: int, bits: int) -> dict[int, int]:
     out: dict[int, int] = {}
     for exps, c in terms.items():
         key = 0
         total = 0
         for e, s in zip(exps, shift):
             v = e - s
-            if not 0 <= v < _PACK_GUARD:
-                raise DomainError(f"exponent spread {v} does not fit a packed field of {_PACK_BITS - 1} bits")
             total += v
             key = (key << bits) | v
         out[key | (total << (bits * width))] = c
     return out
 
 
-def _unpack_terms(packed: dict[int, int], shift: tuple[int, ...], width: int) -> dict[tuple[int, ...], int]:
-    bits = _PACK_BITS
+def _unpack_terms(packed: dict[int, int], shift: list[int], width: int, bits: int) -> dict[tuple[int, ...], int]:
     mask = (1 << bits) - 1
     out: dict[tuple[int, ...], int] = {}
     for key, c in packed.items():
@@ -228,6 +229,13 @@ def _unpack_terms(packed: dict[int, int], shift: tuple[int, ...], width: int) ->
         )
         out[exps] = c
     return out
+
+
+def _canonical(packed: dict[int, int]) -> tuple[frozenset, int]:
+    """(the terms with the leading coefficient made positive, the sign of that coefficient)."""
+    if packed[max(packed)] > 0:
+        return frozenset(packed.items()), 1
+    return frozenset((k, -c) for k, c in packed.items()), -1
 
 
 def _mul_packed(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
@@ -245,11 +253,10 @@ def _mul_packed(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
     return out
 
 
-def _div_packed(num: dict[int, int], den: dict[int, int], width: int) -> dict[int, int]:
-    bits = _PACK_BITS
+def _div_packed(num: dict[int, int], den: dict[int, int], width: int, bits: int) -> dict[int, int]:
     guard_mask = 0
     for i in range(width):
-        guard_mask |= _PACK_GUARD << (bits * i)
+        guard_mask |= 1 << (bits * i + bits - 1)
     lt_d = max(den)
     c_d = den[lt_d]
     d_items = list(den.items())
@@ -298,38 +305,100 @@ def product_divide(
     num_factors: Iterable[MultiLaurent],
     den_factors: Iterable[MultiLaurent] = (),
 ) -> MultiLaurent:
-    """prod(num_factors) divided, exactly and in order, by each den factor.
+    """prod(num_factors) divided exactly by prod(den_factors).
 
-    Every operand is translated once to packed monomials with nonnegative
-    exponents.  Each division is a reduction with respect to the
-    graded-lex order; if at any step the leading term of the remainder is
-    not divisible by the leading term of the divisor (monomial-wise or as
-    integers), the division is inexact and InexactDivisionError is raised.
+    Every operand is translated once to packed monomials, shifted so that
+    its least exponent in each variable is 0.  The result is unique in an
+    integral domain, so the factors are cancelled before anything is
+    expanded, in three stages:
+
+    1. A den factor equal to a num factor up to a unit +-monomial cancels
+       it; the sign and the shifts absorb the unit.  Factors are matched by
+       their shifted terms with the leading coefficient made positive.
+    2. A den factor left over divides the first live num factor, in the
+       order given, that it divides exactly; the quotient replaces that
+       factor.  (q - 1) into q^k - 1 gives [k]_q this way.  With one live
+       num factor, stage 3 does the same division, so this is skipped.
+    3. The live num factors are multiplied, and the product is divided by
+       each den factor still left, in order.
+
+    Each division is a reduction with respect to the graded-lex order; if
+    at any step the leading term of the remainder is not divisible by the
+    leading term of the divisor (monomial-wise or as integers), the
+    division is inexact and InexactDivisionError is raised.  A zero num
+    factor gives zero before any den factor is read.
+
+    The packed fields are sized per call.  No shifted exponent of a
+    product, quotient or remainder exceeds the total degree of the
+    numerator, which is at most the sum over all factors of the exponent
+    spreads; two more bits keep the guard bits clear of it.
     """
     width = l + 1
-    acc: dict[int, int] = {0: 1}
-    shift = [0] * width
+    num_terms = []
     for f in num_factors:
         if f.l != l:
             raise DomainError(f"mixed variable counts: {f.l} != {l}")
         if f.is_zero():
             return MultiLaurent.zero(l)
-        sf = _shift_of(f.terms, width)
-        acc = _mul_packed(acc, _pack_terms(f.terms, sf, width))
-        for i in range(width):
-            shift[i] += sf[i]
+        num_terms.append(f.terms)
+    den_terms = []
     for d in den_factors:
         if d.l != l:
             raise DomainError(f"mixed variable counts: {d.l} != {l}")
         if d.is_zero():
             raise DomainError("division by zero")
-        if not acc:
-            return MultiLaurent.zero(l)
-        sd = _shift_of(d.terms, width)
-        acc = _div_packed(acc, _pack_terms(d.terms, sd, width), width)
-        for i in range(width):
-            shift[i] -= sd[i]
-    return MultiLaurent(l, _unpack_terms(acc, tuple(shift), width))
+        den_terms.append(d.terms)
+    factors = num_terms + den_terms
+    bounds = [_bounds(terms) for terms in factors]
+    bits = max(_MIN_PACK_BITS, sum(spread for _, spread in bounds).bit_length() + 2)
+    packed = [(lo, _pack_terms(terms, lo, width, bits)) for terms, (lo, _) in zip(factors, bounds)]
+    nums = packed[: len(num_terms)]  # (shift, packed terms), or None once cancelled
+    dens = packed[len(num_terms):]
+    sign = 1
+    shift = [0] * width
+
+    if dens:
+        index: dict[frozenset, list[tuple[int, int]]] = {}
+        for i, (_, p) in enumerate(nums):
+            key, sign_n = _canonical(p)
+            index.setdefault(key, []).append((i, sign_n))
+        unmatched = []
+        for lo_d, p_d in dens:
+            key, sign_d = _canonical(p_d)
+            match = index.get(key)
+            if not match:
+                unmatched.append((lo_d, p_d))
+                continue
+            i, sign_n = match.pop()
+            sign *= sign_n * sign_d
+            for v, (a, b) in enumerate(zip(nums[i][0], lo_d)):
+                shift[v] += a - b
+            nums[i] = None
+        live = [i for i, f in enumerate(nums) if f is not None]
+        dens = []
+        for lo_d, p_d in unmatched:
+            for i in live if len(live) > 1 else ():
+                lo_n, p_n = nums[i]
+                try:
+                    quot = _div_packed(p_n, p_d, width, bits)
+                except InexactDivisionError:
+                    continue
+                nums[i] = (tuple(a - b for a, b in zip(lo_n, lo_d)), quot)
+                break
+            else:
+                dens.append((lo_d, p_d))
+
+    acc: dict[int, int] = {0: sign}
+    for f in nums:
+        if f is not None:
+            acc = _mul_packed(acc, f[1])
+            for v, a in enumerate(f[0]):
+                shift[v] += a
+    for lo_d, p_d in dens:
+        acc = _div_packed(acc, p_d, width, bits)
+        for v, b in enumerate(lo_d):
+            shift[v] -= b
+    return MultiLaurent(l, _unpack_terms(acc, shift, width, bits))
 
 
 # ---------------------------------------------------------------------------

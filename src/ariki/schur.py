@@ -241,10 +241,10 @@ def schur_mathas(m: Multipartition) -> MultiLaurent:
 def schur_gim(m: Multipartition, L: int | None = None) -> MultiLaurent:
     """Beta-number formula; output is independent of the symbol size L.
 
-    The quotient nu/delta is taken with exact divisions, processed pair of
-    components at a time (unique factorisation makes every intermediate
-    quotient a Laurent polynomial), and the trailing (q-1)^(-n) and
-    (Q_0...Q_{l-1})^(-n) are applied as exact divisions at the end.
+    Every factor of nu/delta, the sign and monomials, and the trailing
+    (q-1)^(-n) and (Q_0...Q_{l-1})^(-n) go to one exact product_divide,
+    which cancels matching factors before it expands anything.  The
+    quotient is unique because the ring is an integral domain.
     """
     l, n = m.level, m.rank
     if L is None:
@@ -253,50 +253,40 @@ def schur_gim(m: Multipartition, L: int | None = None) -> MultiLaurent:
     a_L = n * (l - 1) + math.comb(l, 2) * math.comb(L, 2)
     b_L_num = l * L * (L - 1) * (2 * l * L - l - 3)
     assert b_L_num % 12 == 0
-    b_L = b_L_num // 12
 
     # Same-component content: nu's diagonal gives Q_s^(sum of betas) times
     # products of (q^k - 1); delta's within-component product gives
     # Q_s^(C(L,2)) q^(weighted beta sum) times products of (q^(b_i-b_j) - 1).
-    diag_num: list[MultiLaurent] = []
-    diag_den: list[MultiLaurent] = []
-    mono_q = 0
-    mono_Q = [0] * l
+    num: list[MultiLaurent] = []
+    den: list[MultiLaurent] = []
+    mono_q = b_L_num // 12  # q^(b_L)
+    mono_Q = [-n] * l  # the trailing (Q_0...Q_{l-1})^(-n)
     for s in range(l):
         bs = betas[s]
         mono_Q[s] += sum(bs) - math.comb(L, 2)
         for b in bs:
             for k in range(1, b + 1):
-                diag_num.append(_q_minus_one_power_factor(l, k))
+                num.append(_q_minus_one_power_factor(l, k))
         for i in range(L):
             for j in range(i + 1, L):
                 mono_q -= bs[j]
-                diag_den.append(_q_minus_one_power_factor(l, bs[i] - bs[j]))
-    blocks = [product_divide(l, diag_num, diag_den)]
-    blocks.append(_sign_monomial(l, 1, mono_q, tuple(mono_Q)))
+                den.append(_q_minus_one_power_factor(l, bs[i] - bs[j]))
 
-    # Cross content, one unordered pair of components at a time.
+    # Cross content of each unordered pair of components.
     for s in range(l):
         for t in range(s + 1, l):
-            num = [_pair_binomial(l, 0, s, 0, t) for _ in range(L)]
+            num += [_pair_binomial(l, 0, s, 0, t) for _ in range(L)]
             for b in betas[s]:
                 for k in range(1, b + 1):
                     num.append(_pair_binomial(l, k, s, 0, t))
             for b in betas[t]:
                 for k in range(1, b + 1):
                     num.append(_pair_binomial(l, k, t, 0, s))
-            den = [
-                _pair_binomial(l, b_s, s, b_t, t)
-                for b_s in betas[s]
-                for b_t in betas[t]
-            ]
-            blocks.append(product_divide(l, num, den))
+            den += [_pair_binomial(l, b_s, s, b_t, t) for b_s in betas[s] for b_t in betas[t]]
 
-    sign = -1 if a_L % 2 else 1
-    blocks.append(_sign_monomial(l, sign, b_L))
-    tail = [_q_minus_one_power_factor(l, 1) for _ in range(n)]
-    tail.append(MultiLaurent.term(l, 1, e_Q=(n,) * l))
-    return product_divide(l, blocks, tail)
+    num.append(_sign_monomial(l, -1 if a_L % 2 else 1, mono_q, tuple(mono_Q)))
+    den += [_q_minus_one_power_factor(l, 1) for _ in range(n)]
+    return product_divide(l, num, den)
 
 
 # ---------------------------------------------------------------------------

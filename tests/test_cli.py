@@ -44,6 +44,17 @@ class TestSchurCommand:
         )
         assert code == 1 and "error" in err
 
+    def test_large_symbol_size_agrees(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "ariki.cli", "schur", "--lambda", "[[2,1],[1],[1]]",
+             "--formula", "all", "--symbol-size", "14"],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "AGREE"
+
     def test_bad_literal_is_a_parse_failure(self):
         for literal in ("[[1,2]]", "[[true]]"):
             proc = subprocess.run(

@@ -84,6 +84,13 @@ class TestGIM:
             for L in (lam.length, lam.length + 2):
                 assert schur_gim(lam, L) == expected
 
+    def test_matches_cancellation_free_at_large_L(self):
+        for parts in ([[2, 1], [1], [1]], [[1], [], [2], [1]], [[3], [1, 1]], [[], [2, 2]], [[1], [1], [1], [1]]):
+            lam = mp(*parts)
+            expected = schur_cancellation_free(lam)
+            for L in range(lam.length, lam.length + 7):
+                assert schur_gim(lam, L) == expected, (parts, L)
+
     def test_L_too_small(self):
         with pytest.raises(DomainError):
             schur_gim(mp([1, 1], []), 1)
