@@ -49,7 +49,7 @@ from .schur import (
     schur_cancellation_free,
     schur_gim,
     schur_mathas,
-    xst_factor,
+    xst_closed,
 )
 from .basicset import (
     BasicSet,

@@ -239,11 +239,8 @@ def _cmd_avalue(args) -> int:
     return 0 if agree else 1
 
 
-def _params_obj(spec: CycloSpec, l: int, n: int, p: int | None = None) -> dict:
-    obj = {"l": l, "n": n, "e": spec.e, "k": spec.k, "r": spec.r, "charges": list(spec.charges)}
-    if p is not None:
-        obj["p"] = p
-    return obj
+def _params_obj(spec: CycloSpec, l: int, n: int) -> dict:
+    return {"l": l, "n": n, "e": spec.e, "k": spec.k, "r": spec.r, "charges": list(spec.charges)}
 
 
 def _cmd_basicset(args) -> int:
@@ -300,6 +297,8 @@ def _cmd_basicset_gpn(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.jobs < 1:
+        raise FlagError(f"--jobs must be >= 1, got {args.jobs}")
     names = args.suite or ["all"]
     results = run_suites(names, max_l=args.max_l, max_n=args.max_n, jobs=args.jobs)
     for res in results:

@@ -9,12 +9,10 @@ Three rings, all with arbitrary-precision integer data and canonical forms:
 * ``CycloLaurent`` -- Laurent polynomials in one variable u with
   CyclotomicInt coefficients.
 
-``product_divide`` divides a product of MultiLaurent factors exactly by
-another.  It cancels factors before it expands anything: a den factor that
-equals a num factor up to a unit +-monomial cancels it, one left over
-divides a single num factor where it can, and only the factors still left
-are multiplied out and divided, on packed integer monomials whose field
-width is sized per call.
+``product_divide`` multiplies MultiLaurent factors and divides the product
+exactly by others, on packed integer monomials whose field width is sized
+per call.  It does not look for factors that cancel: callers that know
+their factors (the Schur formulas) cancel them before they call it.
 
 ``SpecMap`` describes a ring homomorphism sending q and each Q_j to a root
 of unity times a power of u; ``specialise`` applies it.
@@ -231,13 +229,6 @@ def _unpack_terms(packed: dict[int, int], shift: list[int], width: int, bits: in
     return out
 
 
-def _canonical(packed: dict[int, int]) -> tuple[frozenset, int]:
-    """(the terms with the leading coefficient made positive, the sign of that coefficient)."""
-    if packed[max(packed)] > 0:
-        return frozenset(packed.items()), 1
-    return frozenset((k, -c) for k, c in packed.items()), -1
-
-
 def _mul_packed(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
     if len(a) > len(b):
         a, b = b, a
@@ -308,25 +299,13 @@ def product_divide(
     """prod(num_factors) divided exactly by prod(den_factors).
 
     Every operand is translated once to packed monomials, shifted so that
-    its least exponent in each variable is 0.  The result is unique in an
-    integral domain, so the factors are cancelled before anything is
-    expanded, in three stages:
-
-    1. A den factor equal to a num factor up to a unit +-monomial cancels
-       it; the sign and the shifts absorb the unit.  Factors are matched by
-       their shifted terms with the leading coefficient made positive.
-    2. A den factor left over divides the first live num factor, in the
-       order given, that it divides exactly; the quotient replaces that
-       factor.  (q - 1) into q^k - 1 gives [k]_q this way.  With one live
-       num factor, stage 3 does the same division, so this is skipped.
-    3. The live num factors are multiplied, and the product is divided by
-       each den factor still left, in order.
-
-    Each division is a reduction with respect to the graded-lex order; if
-    at any step the leading term of the remainder is not divisible by the
-    leading term of the divisor (monomial-wise or as integers), the
-    division is inexact and InexactDivisionError is raised.  A zero num
-    factor gives zero before any den factor is read.
+    its least exponent in each variable is 0.  The num factors are
+    multiplied, in the order given, and the product is divided by each den
+    factor in turn.  Each division is a reduction with respect to the
+    graded-lex order; if at any step the leading term of the remainder is
+    not divisible by the leading term of the divisor (monomial-wise or as
+    integers), the division is inexact and InexactDivisionError is raised.
+    A zero num factor gives zero before any den factor is read.
 
     The packed fields are sized per call.  No shifted exponent of a
     product, quotient or remainder exceeds the total degree of the
@@ -348,55 +327,17 @@ def product_divide(
         if d.is_zero():
             raise DomainError("division by zero")
         den_terms.append(d.terms)
-    factors = num_terms + den_terms
-    bounds = [_bounds(terms) for terms in factors]
+    bounds = [_bounds(terms) for terms in num_terms + den_terms]
     bits = max(_MIN_PACK_BITS, sum(spread for _, spread in bounds).bit_length() + 2)
-    packed = [(lo, _pack_terms(terms, lo, width, bits)) for terms, (lo, _) in zip(factors, bounds)]
-    nums = packed[: len(num_terms)]  # (shift, packed terms), or None once cancelled
-    dens = packed[len(num_terms):]
-    sign = 1
     shift = [0] * width
-
-    if dens:
-        index: dict[frozenset, list[tuple[int, int]]] = {}
-        for i, (_, p) in enumerate(nums):
-            key, sign_n = _canonical(p)
-            index.setdefault(key, []).append((i, sign_n))
-        unmatched = []
-        for lo_d, p_d in dens:
-            key, sign_d = _canonical(p_d)
-            match = index.get(key)
-            if not match:
-                unmatched.append((lo_d, p_d))
-                continue
-            i, sign_n = match.pop()
-            sign *= sign_n * sign_d
-            for v, (a, b) in enumerate(zip(nums[i][0], lo_d)):
-                shift[v] += a - b
-            nums[i] = None
-        live = [i for i, f in enumerate(nums) if f is not None]
-        dens = []
-        for lo_d, p_d in unmatched:
-            for i in live if len(live) > 1 else ():
-                lo_n, p_n = nums[i]
-                try:
-                    quot = _div_packed(p_n, p_d, width, bits)
-                except InexactDivisionError:
-                    continue
-                nums[i] = (tuple(a - b for a, b in zip(lo_n, lo_d)), quot)
-                break
-            else:
-                dens.append((lo_d, p_d))
-
-    acc: dict[int, int] = {0: sign}
-    for f in nums:
-        if f is not None:
-            acc = _mul_packed(acc, f[1])
-            for v, a in enumerate(f[0]):
-                shift[v] += a
-    for lo_d, p_d in dens:
-        acc = _div_packed(acc, p_d, width, bits)
-        for v, b in enumerate(lo_d):
+    acc: dict[int, int] = {0: 1}
+    for terms, (lo, _) in zip(num_terms, bounds):
+        acc = _mul_packed(acc, _pack_terms(terms, lo, width, bits))
+        for v, a in enumerate(lo):
+            shift[v] += a
+    for terms, (lo, _) in zip(den_terms, bounds[len(num_terms):]):
+        acc = _div_packed(acc, _pack_terms(terms, lo, width, bits), width, bits)
+        for v, b in enumerate(lo):
             shift[v] -= b
     return MultiLaurent(l, _unpack_terms(acc, shift, width, bits))
 

@@ -3,13 +3,16 @@
 Three independent formulas for the Schur element of a multipartition are
 implemented and cross-checked: a cancellation-free product over nodes, the
 quotient formula of Mathas, and the beta-number formula of Geck, Iancu and
-Malle.  On top of them sit the semisimplicity criterion, the defect-0
-test, and the valuation route to the a-value.
+Malle.  Each builds its element as a multiset of irreducible factors
+(``_Factors``), divides by subtracting multiplicities and expands once.  On
+top of them sit the semisimplicity criterion, the defect-0 test, and the
+valuation route to the a-value.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 from .combinatorics import (
@@ -28,6 +31,7 @@ from .exactalg import (
     CycloLaurent,
     MultiLaurent,
     SpecMap,
+    cyclotomic_polynomial,
     product_divide,
     specialise,
 )
@@ -136,13 +140,78 @@ def _cross_factor(l: int, h: int, s: int, t: int) -> MultiLaurent:
     return MultiLaurent(l, {tuple(e): 1, (0,) * (l + 1): -1})
 
 
-def _q_minus_one_power_factor(l: int, c: int) -> MultiLaurent:
-    """q^c - 1 (c >= 1)."""
-    return MultiLaurent(l, {(c,) + (0,) * l: 1, (0,) * (l + 1): -1})
+class _Factors:
+    """A product sign * q^e_q * prod Q_j^(e_Q[j]) * prod key^multiplicity.
 
+    The keys are irreducible in Z[q^+-1, Q^+-1]: ("phi", d) stands for
+    Phi_d(q), and ("x", h, s, t) with s < t for q^h Q_s Q_t^(-1) - 1.  The
+    ring is a unique factorisation domain, so a quotient of such products
+    is found by subtracting multiplicities, and only ``expand`` multiplies.
+    Each method multiplies in its factor to the power k; k < 0 divides.
+    """
 
-def _sign_monomial(l: int, sign: int, e_q: int, e_Q: tuple[int, ...] | None = None) -> MultiLaurent:
-    return MultiLaurent.term(l, sign, e_q=e_q, e_Q=e_Q or ())
+    def __init__(self, l: int):
+        self.l = l
+        self.sign = 1
+        self.e_q = 0
+        self.e_Q = [0] * l
+        self.keys: Counter = Counter()
+
+    def monomial(self, sign: int, e_q: int = 0, e_Q: tuple[int, ...] = ()) -> None:
+        self.sign *= sign
+        self.e_q += e_q
+        for j, e in enumerate(e_Q):
+            self.e_Q[j] += e
+
+    def q_power_minus_one(self, h: int, k: int = 1) -> None:
+        """(q^h - 1)^k = prod over d | h of Phi_d^k."""
+        if h < 1:
+            raise DomainError(f"q^{h} - 1 is not a product of cyclotomic polynomials")
+        for d in range(1, h + 1):
+            if h % d == 0:
+                self.keys["phi", d] += k
+
+    def q_integer(self, h: int, k: int = 1) -> None:
+        """[h]_q^k = ((q^h - 1) / (q - 1))^k."""
+        if h < 1:
+            raise DomainError(f"[{h}]_q does not occur; same-component hooks are >= 1")
+        self.q_power_minus_one(h, k)
+        self.keys["phi", 1] -= k
+
+    def cross(self, h: int, s: int, t: int, k: int = 1) -> None:
+        """(q^h Q_s Q_t^(-1) - 1)^k; for s > t that is (-q^h Q_s Q_t^(-1))^k X(t, s, -h)^k."""
+        if s > t:
+            self.sign *= -1 if k % 2 else 1
+            self.e_q += h * k
+            self.e_Q[s] += k
+            self.e_Q[t] -= k
+            h, s, t = -h, t, s
+        self.keys["x", h, s, t] += k
+
+    def pair(self, a: int, s: int, b: int, t: int, k: int = 1) -> None:
+        """(q^a Q_s - q^b Q_t)^k = (q^b Q_t)^k (q^(a-b) Q_s Q_t^(-1) - 1)^k."""
+        self.e_q += b * k
+        self.e_Q[t] += k
+        self.cross(a - b, s, t, k)
+
+    def expand(self) -> MultiLaurent:
+        l = self.l
+        factors = [MultiLaurent.term(l, self.sign, self.e_q, self.e_Q)]
+        # The Phi_d first, then the X keys grouped by their pair (s, t), so
+        # products stay small until the pairs meet.  Every formula expands
+        # the same multiset in the same order.
+        for key, k in sorted(self.keys.items(), key=lambda kv: (kv[0][2:], abs(kv[0][1]), kv[0][1])):
+            if k < 0:
+                raise InternalError(f"factor {key} divided out {-k} more times than it occurs")
+            if not k:
+                continue
+            if key[0] == "phi":
+                phi = cyclotomic_polynomial(key[1])
+                poly = MultiLaurent(l, {(i,) + (0,) * l: c for i, c in enumerate(phi)})
+            else:
+                poly = _cross_factor(l, *key[1:])
+            factors += [poly] * k
+        return product_divide(l, factors)
 
 
 # ---------------------------------------------------------------------------
@@ -156,137 +225,124 @@ def schur_cancellation_free(m: Multipartition) -> MultiLaurent:
     [h_ss]_q * prod over t != s of (q^(h_st) Q_s Q_t^(-1) - 1).
     """
     l, n = m.level, m.rank
-    sign = -1 if (n * (l - 1)) % 2 else 1
-    factors = [_sign_monomial(l, sign, -n_function(rebar(m)))]
+    f = _Factors(l)
+    f.monomial(-1 if (n * (l - 1)) % 2 else 1, -n_function(rebar(m)))
     for s, comp in enumerate(m.components):
         for (i, j) in comp.nodes():
-            factors.append(q_integer(l, gen_hook_length(comp, comp, i, j)))
+            f.q_integer(gen_hook_length(comp, comp, i, j))
             for t, other in enumerate(m.components):
                 if t != s:
-                    factors.append(_cross_factor(l, gen_hook_length(comp, other, i, j), s, t))
-    return product_divide(l, factors)
+                    f.cross(gen_hook_length(comp, other, i, j), s, t)
+    return f.expand()
 
 
 def _alpha_conjugate(m: Multipartition) -> int:
-    total = 0
-    for comp in m.components:
-        for c in conjugate(comp).parts:
-            total += (c - 1) * c
-    assert total % 2 == 0
-    return total // 2
+    # Each term (c - 1)c is even.
+    return sum((c - 1) * c for comp in m.components for c in conjugate(comp).parts) // 2
 
 
-def _xst_mathas_parts(m: Multipartition, s: int, t: int):
-    l = m.level
+def _xst_mathas(f: _Factors, m: Multipartition, s: int, t: int) -> None:
+    """Multiply f by the X_st quotient: its num binomials, and its den binomials with k = -1."""
     lam, mu = m.components[s], m.components[t]
     mu_conj = conjugate(mu)
-    num: list[MultiLaurent] = []
-    den: list[MultiLaurent] = []
     for (i, j) in mu.nodes():
-        num.append(_pair_binomial(l, j - i, t, 0, s))
+        f.pair(j - i, t, 0, s)
     mu1 = mu.part(1)
     for (i, j) in lam.nodes():
-        num.append(_pair_binomial(l, j - i, s, mu1, t))
+        f.pair(j - i, s, mu1, t)
         for k in range(1, mu1 + 1):
-            num.append(_pair_binomial(l, j - i, s, k - 1 - mu_conj.part(k), t))
-            den.append(_pair_binomial(l, j - i, s, k - mu_conj.part(k), t))
-    return num, den
+            f.pair(j - i, s, k - 1 - mu_conj.part(k), t)
+            f.pair(j - i, s, k - mu_conj.part(k), t, -1)
 
 
 def xst_mathas(m: Multipartition, s: int, t: int) -> MultiLaurent:
-    """The X_st quotient, numerator product first, one exact division per binomial."""
-    num, den = _xst_mathas_parts(m, s, t)
-    return product_divide(m.level, num, den)
+    """The X_st quotient, its den binomials cancelled against its num binomials."""
+    f = _Factors(m.level)
+    _xst_mathas(f, m, s, t)
+    return f.expand()
 
 
 def xst_closed(m: Multipartition, s: int, t: int) -> MultiLaurent:
-    """Closed product form of X_st (no division)."""
+    """X_st for 0 <= s < t < l, by the closed product form (no division)."""
     l = m.level
+    if not (0 <= s < t <= l - 1):
+        raise DomainError(f"need 0 <= s < t <= {l - 1}, got ({s},{t})")
     lam, mu = m.components[s], m.components[t]
     lam_conj, mu_conj = conjugate(lam), conjugate(mu)
-    cross = sum(a * b for a, b in zip(lam_conj.parts, mu_conj.parts))
-    e_Q = [0] * l
-    e_Q[s], e_Q[t] = mu.size, lam.size
-    factors = [_sign_monomial(l, 1, -cross, tuple(e_Q))]
+    f = _Factors(l)
+    f.monomial(1, -sum(a * b for a, b in zip(lam_conj.parts, mu_conj.parts)))
+    f.e_Q[s], f.e_Q[t] = mu.size, lam.size
     for (i, j) in lam.nodes():
-        factors.append(_cross_factor(l, gen_hook_length(lam, mu, i, j), s, t))
+        f.cross(gen_hook_length(lam, mu, i, j), s, t)
     for (i, j) in mu.nodes():
-        factors.append(_cross_factor(l, gen_hook_length(mu, lam, i, j), t, s))
-    return product_divide(l, factors)
-
-
-def xst_factor(m: Multipartition, s: int, t: int) -> MultiLaurent:
-    """X_st for 0 <= s < t < l, by the closed product form."""
-    if not (0 <= s < t <= m.level - 1):
-        raise DomainError(f"need 0 <= s < t <= {m.level - 1}, got ({s},{t})")
-    return xst_closed(m, s, t)
+        f.cross(gen_hook_length(mu, lam, i, j), t, s)
+    return f.expand()
 
 
 def schur_mathas(m: Multipartition) -> MultiLaurent:
-    """Quotient formula: every X_st realised by exact division."""
+    """Quotient formula: every X_st quotient goes into one factor multiset.
+
+    The den binomials of each X_st divide out by multiplicity, and the
+    product is expanded once.
+    """
     l, n = m.level, m.rank
-    sign = -1 if (n * (l - 1)) % 2 else 1
-    factors = [_sign_monomial(l, sign, -_alpha_conjugate(m), tuple(-n for _ in range(l)))]
-    for s, comp in enumerate(m.components):
-        if comp.size:
-            factors.append(MultiLaurent.term(l, 1, e_Q=tuple(comp.size if j == s else 0 for j in range(l))))
+    f = _Factors(l)
+    e_Q = tuple(comp.size - n for comp in m.components)
+    f.monomial(-1 if (n * (l - 1)) % 2 else 1, -_alpha_conjugate(m), e_Q)
+    for comp in m.components:
         for (i, j) in comp.nodes():
-            factors.append(q_integer(l, gen_hook_length(comp, comp, i, j)))
+            f.q_integer(gen_hook_length(comp, comp, i, j))
     for s in range(l):
         for t in range(s + 1, l):
-            factors.append(xst_mathas(m, s, t))
-    return product_divide(l, factors)
+            _xst_mathas(f, m, s, t)
+    return f.expand()
 
 
 def schur_gim(m: Multipartition, L: int | None = None) -> MultiLaurent:
     """Beta-number formula; output is independent of the symbol size L.
 
     Every factor of nu/delta, the sign and monomials, and the trailing
-    (q-1)^(-n) and (Q_0...Q_{l-1})^(-n) go to one exact product_divide,
-    which cancels matching factors before it expands anything.  The
-    quotient is unique because the ring is an integral domain.
+    (q-1)^(-n) and (Q_0...Q_{l-1})^(-n) go into one factor multiset, where
+    delta's factors and the tail divide out by multiplicity; the product
+    left is expanded once.
     """
     l, n = m.level, m.rank
     if L is None:
         L = m.length
     betas = l_symbol(m, L)  # raises if L < length
     a_L = n * (l - 1) + math.comb(l, 2) * math.comb(L, 2)
-    b_L_num = l * L * (L - 1) * (2 * l * L - l - 3)
-    assert b_L_num % 12 == 0
+    # b_L = l L (L-1) (2lL - l - 3) / 12 is an integer for every l and L.
+    f = _Factors(l)
+    f.monomial(-1 if a_L % 2 else 1, l * L * (L - 1) * (2 * l * L - l - 3) // 12, (-n,) * l)
 
     # Same-component content: nu's diagonal gives Q_s^(sum of betas) times
     # products of (q^k - 1); delta's within-component product gives
     # Q_s^(C(L,2)) q^(weighted beta sum) times products of (q^(b_i-b_j) - 1).
-    num: list[MultiLaurent] = []
-    den: list[MultiLaurent] = []
-    mono_q = b_L_num // 12  # q^(b_L)
-    mono_Q = [-n] * l  # the trailing (Q_0...Q_{l-1})^(-n)
     for s in range(l):
         bs = betas[s]
-        mono_Q[s] += sum(bs) - math.comb(L, 2)
+        f.e_q -= sum(j * b for j, b in enumerate(bs))
+        f.e_Q[s] += sum(bs) - math.comb(L, 2)
         for b in bs:
             for k in range(1, b + 1):
-                num.append(_q_minus_one_power_factor(l, k))
+                f.q_power_minus_one(k)
         for i in range(L):
             for j in range(i + 1, L):
-                mono_q -= bs[j]
-                den.append(_q_minus_one_power_factor(l, bs[i] - bs[j]))
+                f.q_power_minus_one(bs[i] - bs[j], -1)
 
     # Cross content of each unordered pair of components.
     for s in range(l):
         for t in range(s + 1, l):
-            num += [_pair_binomial(l, 0, s, 0, t) for _ in range(L)]
-            for b in betas[s]:
-                for k in range(1, b + 1):
-                    num.append(_pair_binomial(l, k, s, 0, t))
-            for b in betas[t]:
-                for k in range(1, b + 1):
-                    num.append(_pair_binomial(l, k, t, 0, s))
-            den += [_pair_binomial(l, b_s, s, b_t, t) for b_s in betas[s] for b_t in betas[t]]
+            f.pair(0, s, 0, t, L)
+            for u, v in ((s, t), (t, s)):
+                for b in betas[u]:
+                    for k in range(1, b + 1):
+                        f.pair(k, u, 0, v)
+            for b_s in betas[s]:
+                for b_t in betas[t]:
+                    f.pair(b_s, s, b_t, t, -1)
 
-    num.append(_sign_monomial(l, -1 if a_L % 2 else 1, mono_q, tuple(mono_Q)))
-    den += [_q_minus_one_power_factor(l, 1) for _ in range(n)]
-    return product_divide(l, num, den)
+    f.q_power_minus_one(1, -n)
+    return f.expand()
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ identical across runs and across worker counts.
 from __future__ import annotations
 
 import math
+import os
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -71,16 +72,17 @@ class SuiteResult:
 
 def _pmap(fn, items, jobs: int):
     items = list(items)
-    if jobs <= 1 or len(items) < 2:
+    workers = min(jobs, os.cpu_count() or 1, len(items))
+    if workers <= 1:
         return [fn(x) for x in items]
-    with ProcessPoolExecutor(max_workers=jobs) as ex:
-        return list(ex.map(fn, items, chunksize=max(1, len(items) // (4 * jobs))))
+    with ProcessPoolExecutor(max_workers=workers) as ex:
+        return list(ex.map(fn, items, chunksize=max(1, len(items) // (4 * workers))))
 
 
 def _merge(name: str, t0: float, results) -> SuiteResult:
     checks = sum(c for c, _ in results)
     failure = next((f for _, f in results if f is not None), None)
-    return SuiteResult(name, failure is None, checks, time.time() - t0, failure)
+    return SuiteResult(name, failure is None, checks, time.perf_counter() - t0, failure)
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +105,7 @@ def _lemma_alpha_worker(lam: Multipartition) -> tuple[int, str | None]:
 
 
 def verify_lemmas(max_n: int = 6, jobs: int = 1) -> SuiteResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     parts = [p for n in range(1, max_n + 1) for p in partitions_of(n)]
     results = _pmap(_lemma_rational_worker, parts, jobs)
     lams = enumerate_multipartitions(3, max_n)
@@ -129,7 +131,7 @@ def _formulas_worker(lam: Multipartition) -> tuple[int, str | None]:
 
 
 def verify_formulas(max_l: int = 3, max_n: int = 4, jobs: int = 1) -> SuiteResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     lams: list[Multipartition] = []
     for l in range(1, max_l + 1):
         for n in range(0, max_n + 1):
@@ -179,7 +181,7 @@ def _sigma_worker(job) -> tuple[int, str | None]:
 
 
 def verify_avalues(max_l: int = 3, max_n: int = 4, jobs: int = 1, n_charges: int = 10) -> SuiteResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     rng = random.Random(_SEED)
     jobs_list = []
     for l in range(1, max_l + 1):
@@ -231,7 +233,7 @@ def _semisimple_worker(job) -> tuple[int, str | None]:
 
 
 def verify_semisimple(jobs: int = 1) -> SuiteResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     rng = random.Random(_SEED + 1)
     grid = []
     for l in (1, 2, 3):
@@ -267,7 +269,7 @@ def _defect0_worker(job) -> tuple[int, str | None]:
 
 
 def verify_defect0(max_l: int = 3, max_n: int = 4, jobs: int = 1) -> SuiteResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     rng = random.Random(_SEED + 2)
     jobs_list = []
     for l in range(1, max_l + 1):
@@ -339,7 +341,7 @@ def _brute_dominates(xs, ys) -> bool:
 
 
 def verify_dominance(max_l: int = 3, max_n: int = 4, jobs: int = 1, instances: int = 1000) -> SuiteResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     rng = random.Random(_SEED + 3)
     jobs_list = []
     for l in range(1, max_l + 1):
@@ -380,7 +382,7 @@ def _random_laurent(rng: random.Random, l: int, max_terms: int = 6) -> MultiLaur
 
 
 def verify_fuzz(jobs: int = 1, rounds: int = 500) -> SuiteResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     rng = random.Random(_SEED + 4)
     checks = 0
     failure = None
@@ -477,7 +479,7 @@ def verify_fuzz(jobs: int = 1, rounds: int = 500) -> SuiteResult:
         if exact_divide(a * b, b) != a:
             fail(f"division roundtrip broke for {a.render()} / {b.render()}")
 
-    return SuiteResult("fuzz", failure is None, checks, time.time() - t0, failure)
+    return SuiteResult("fuzz", failure is None, checks, time.perf_counter() - t0, failure)
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +492,7 @@ def _as_json_set(elements) -> set[str]:
 
 def verify_example_basic_set(jobs: int = 1) -> SuiteResult:
     """G(3,1,2) with e=12, k=1, r=6, charges (3,-1,-2)."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     checks = 0
     failure = None
 
@@ -537,12 +539,12 @@ def verify_example_basic_set(jobs: int = 1) -> SuiteResult:
             a == a_value_hook_formula(lam, charge) == a_value_via_valuation(lam, charge),
             f"a-value routes disagree on {multipartition_to_json(lam)}",
         )
-    return SuiteResult("example-basic-set", failure is None, checks, time.time() - t0, failure)
+    return SuiteResult("example-basic-set", failure is None, checks, time.perf_counter() - t0, failure)
 
 
 def verify_example_orbits(jobs: int = 1) -> SuiteResult:
     """G(3,3,2) with p=3, e=12, k=1, r=2, block charge (0,)."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     checks = 0
     failure = None
 
@@ -576,15 +578,15 @@ def verify_example_orbits(jobs: int = 1) -> SuiteResult:
         all(o.orbit_size == 3 and o.stabilizer_size == 1 for o in orbits),
         "orbit sizes and stabilizers",
     )
-    return SuiteResult("example-orbits", failure is None, checks, time.time() - t0, failure)
+    return SuiteResult("example-orbits", failure is None, checks, time.perf_counter() - t0, failure)
 
 
 def verify_examples(jobs: int = 1) -> SuiteResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     parts = [verify_example_basic_set(jobs), verify_example_orbits(jobs)]
     failure = next((p.failure for p in parts if p.failure), None)
     return SuiteResult(
-        "examples", all(p.passed for p in parts), sum(p.checks for p in parts), time.time() - t0, failure
+        "examples", all(p.passed for p in parts), sum(p.checks for p in parts), time.perf_counter() - t0, failure
     )
 
 

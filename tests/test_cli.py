@@ -266,6 +266,46 @@ class TestVerifyCommand:
         )
         assert base == again == parallel
 
+    def test_jobs_below_one_is_a_flag_error(self, capsys):
+        for jobs in ("0", "-5"):
+            code, out, err = run_cli(capsys, "verify", "--suite", "examples", "--jobs", jobs)
+            assert code == 2 and out == "" and "--jobs" in err
+
+    def test_workers_capped_by_cpus_and_items(self, capsys, monkeypatch):
+        # The stub pool records max_workers and maps serially: no process starts.
+        import ariki.verify as verify
+
+        seen = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(verify, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(verify.os, "cpu_count", lambda: 4)
+        assert verify._pmap(abs, [-1, -2, -3], 10**6) == [1, 2, 3]
+        assert verify._pmap(abs, range(-9, 0), 10**6) == list(range(9, 0, -1))
+        assert verify._pmap(abs, [-1, -2], 1) == [1, 2]
+        assert seen == [3, 4]
+        _, base, _ = run_cli(capsys, "verify", "--suite", "lemmas", "--max-n", "4")
+        for jobs in ("2", "3", "1000000"):
+            code, out, _ = run_cli(capsys, "verify", "--suite", "lemmas", "--max-n", "4", "--jobs", jobs)
+            assert code == 0 and out == base
+        assert seen[2:] and set(seen[2:]) <= {2, 3, 4}
+        pools = len(seen)
+        monkeypatch.setattr(verify.os, "cpu_count", lambda: None)
+        assert verify._pmap(abs, [-1, -2], 10**6) == [1, 2]
+        assert len(seen) == pools  # an unknown CPU count runs serially
+
 
 class TestDeterminism:
     def test_repeated_runs_byte_identical(self):

@@ -73,13 +73,14 @@ class TestRing:
 
 @st.composite
 def staged_quotients(draw):
-    """(l, num factors, den factors, exact), with den factors that reach each stage of product_divide.
+    """(l, num factors, den factors, exact), with den factors of three exact kinds.
 
-    Stage 1: +-monomial multiples of num factors.  Stage 2: +-monomial *
-    (q - 1) against a num factor +-monomial * (q^k - 1).  Stage 3: the
-    product of two num factors.  Inexact: 5 times a factor, which divides
-    nothing, because coefficients lie in +-{1, 2, 3} and the content of a
-    product is the product of the contents (Gauss).
+    Every den factor is divided out of the expanded num product in turn:
+    +-monomial multiples of num factors, +-monomial * (q - 1) against a num
+    factor +-monomial * (q^k - 1), and the product of two num factors.
+    Inexact: 5 times a factor, which divides nothing, because coefficients
+    lie in +-{1, 2, 3} and the content of a product is the product of the
+    contents (Gauss).
     """
     l = draw(st.integers(1, 2))
     exps = st.tuples(*[st.integers(-2, 2)] * (l + 1))
@@ -175,6 +176,8 @@ class TestExactDivide:
     @given(staged_quotients())
     @settings(max_examples=300, deadline=None)
     def test_product_divide_cancels_then_expands(self, case):
+        # product_divide expands the num factors, then divides by each den
+        # factor in turn; the quotient is checked by multiplying back.
         l, nums, dens, exact = case
         if not exact:
             with pytest.raises(InexactDivisionError):

@@ -1,5 +1,8 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ariki import exactalg
 from ariki.combinatorics import (
     ChargeData,
     Partition,
@@ -8,10 +11,11 @@ from ariki.combinatorics import (
     n_function,
     partitions_of,
 )
-from ariki.errors import DomainError
-from ariki.exactalg import MultiLaurent, specialise
+from ariki.errors import DomainError, InternalError
+from ariki.exactalg import MultiLaurent, product_divide, specialise
 from ariki.schur import (
     CycloSpec,
+    _Factors,
     a_value_via_valuation,
     alpha_identity,
     ariki_poly,
@@ -26,7 +30,6 @@ from ariki.schur import (
     spec_map_for,
     spec_map_root_of_unity,
     xst_closed,
-    xst_factor,
     xst_mathas,
 )
 
@@ -101,28 +104,150 @@ class TestXst:
         # first component empty: Q_0^3 times the three cross factors of (2,1),
         # with cross hooks 1, 0, -1
         lam = mp([], [2, 1])
-        value = xst_factor(lam, 0, 1)
-        assert value == xst_closed(lam, 0, 1) == xst_mathas(lam, 0, 1)
+        value = xst_closed(lam, 0, 1)
+        assert value == xst_mathas(lam, 0, 1)
         expected = MultiLaurent.term(2, 1, e_Q=(3, 0))
         for h in (1, 0, -1):
             expected = expected * MultiLaurent(2, {(h, -1, 1): 1, (0, 0, 0): -1})
         assert value == expected
 
     def test_dual_route_agreement(self):
-        assert xst_factor(mp([1], [1]), 0, 1) == xst_closed(mp([1], [1]), 0, 1)
+        assert xst_mathas(mp([1], [1]), 0, 1) == xst_closed(mp([1], [1]), 0, 1)
         for lam in enumerate_multipartitions(2, 4):
             assert xst_mathas(lam, 0, 1) == xst_closed(lam, 0, 1)
 
     def test_three_components(self):
         lam = mp([2], [1], [1])
         for s, t in ((0, 1), (0, 2), (1, 2)):
-            assert xst_factor(lam, s, t) == xst_mathas(lam, s, t)
+            assert xst_closed(lam, s, t) == xst_mathas(lam, s, t)
 
     def test_bad_indices(self):
         with pytest.raises(DomainError):
-            xst_factor(mp([1], [1]), 1, 0)
+            xst_closed(mp([1], [1]), 1, 0)
         with pytest.raises(DomainError):
-            xst_factor(mp([1], [1]), 0, 2)
+            xst_closed(mp([1], [1]), 0, 2)
+
+
+@st.composite
+def factor_ops(draw):
+    """(l, ops): calls of the _Factors methods, each ("name", *args), with k left out."""
+    l = draw(st.integers(1, 3))
+    kinds = ["q_power_minus_one", "q_integer", "monomial"] + (["cross", "pair"] if l > 1 else [])
+    ops = []
+    for kind in draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=6)):
+        if kind in ("q_power_minus_one", "q_integer"):
+            ops.append((kind, draw(st.integers(1, 6))))
+        elif kind == "monomial":
+            e_Q = tuple(draw(st.lists(st.integers(-2, 2), min_size=l, max_size=l)))
+            ops.append((kind, draw(st.sampled_from((1, -1))), draw(st.integers(-3, 3)), e_Q))
+        else:
+            s, t = draw(st.permutations(range(l)))[:2]
+            if kind == "cross":
+                ops.append((kind, draw(st.integers(-3, 3)), s, t))
+            else:
+                ops.append((kind, draw(st.integers(-3, 3)), s, draw(st.integers(-3, 3)), t))
+    return l, ops
+
+
+def plain_factor(l, op):
+    """The op's factor as a MultiLaurent, built from monomials by + and -."""
+    def mono(e_q, *powers):
+        e_Q = [0] * l
+        for j, e in powers:
+            e_Q[j] += e
+        return MultiLaurent.term(l, 1, e_q, e_Q)
+
+    one = MultiLaurent.one(l)
+    kind, *args = op
+    if kind == "q_power_minus_one":
+        return mono(args[0]) - one
+    if kind == "q_integer":
+        return sum((mono(i) for i in range(1, args[0])), one)
+    if kind == "monomial":
+        return MultiLaurent.term(l, *args)
+    if kind == "cross":
+        h, s, t = args
+        return mono(h, (s, 1), (t, -1)) - one
+    a, s, b, t = args
+    return mono(a, (s, 1)) - mono(b, (t, 1))
+
+
+def apply_op(f, op, k):
+    kind, *args = op
+    if kind == "monomial":
+        sign, e_q, e_Q = args
+        f.monomial(sign, k * e_q, tuple(k * e for e in e_Q))
+    else:
+        getattr(f, kind)(*args, k)
+
+
+def associate(op):
+    """The same factor written the other way round, a unit times the original."""
+    kind, *args = op
+    if kind == "cross":
+        h, s, t = args
+        return ("cross", -h, t, s)
+    if kind == "pair":
+        a, s, b, t = args
+        return ("pair", b, t, a, s)
+    return op
+
+
+class TestFactors:
+    @given(factor_ops(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_expand_matches_the_general_kernel(self, case, data):
+        l, ops = case
+        dens = [
+            associate(op) if data.draw(st.booleans()) else op
+            for op, keep in zip(ops, data.draw(st.lists(st.booleans(), min_size=len(ops), max_size=len(ops))))
+            if keep
+        ]
+        f = _Factors(l)
+        for op in ops:
+            apply_op(f, op, 1)
+        for op in dens:
+            apply_op(f, op, -1)
+        expected = product_divide(l, [plain_factor(l, op) for op in ops], [plain_factor(l, op) for op in dens])
+        assert f.expand() == expected
+
+        # Divide the whole num out, then one more factor that is not a unit.
+        extra = data.draw(st.sampled_from(ops))
+        if extra[0] == "monomial" or extra == ("q_integer", 1):
+            return
+        g = _Factors(l)
+        for op in ops:
+            apply_op(g, op, 1)
+            apply_op(g, associate(op), -1)
+        apply_op(g, extra, -1)
+        with pytest.raises(InternalError):
+            g.expand()
+
+    def test_nonpositive_exponents_are_domain_errors(self):
+        f = _Factors(2)
+        for h in (0, -2):
+            with pytest.raises(DomainError):
+                f.q_power_minus_one(h)
+            with pytest.raises(DomainError, match="same-component hooks"):
+                f.q_integer(h)
+
+
+def test_formulas_never_reach_the_division_kernel(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a Schur formula divided polynomials")
+
+    monkeypatch.setattr(exactalg, "_div_packed", refuse)
+    grid = [(l, n) for l in (1, 2, 3) for n in range(5)] + [(4, n) for n in range(4)]
+    for l, n in grid:
+        for lam in enumerate_multipartitions(l, n):
+            schur_cancellation_free(lam)
+            schur_mathas(lam)
+            for L in (lam.length, lam.length + 1, lam.length + 3):
+                schur_gim(lam, L)
+            for s in range(l):
+                for t in range(s + 1, l):
+                    xst_mathas(lam, s, t)
+                    xst_closed(lam, s, t)
 
 
 class TestLemmas:
