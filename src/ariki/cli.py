@@ -33,6 +33,7 @@ from .schur import (
     ariki_poly,
     is_defect_zero,
     is_semisimple,
+    schur_all,
     schur_cancellation_free,
     schur_gim,
     schur_mathas,
@@ -139,14 +140,17 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_schur(args) -> int:
     lam = args.lam
     L = args.symbol_size
-    values = {}
-    if args.formula in ("cancel", "all"):
-        values["cancel"] = schur_cancellation_free(lam)
-    if args.formula in ("mathas", "all"):
-        values["mathas"] = schur_mathas(lam)
-    if args.formula in ("gim", "all"):
-        values["gim"] = schur_gim(lam, L)
-    rendered = {name: v.render() for name, v in values.items()}
+    if args.formula == "all":
+        values = schur_all(lam, L)
+    elif args.formula == "cancel":
+        values = {"cancel": schur_cancellation_free(lam)}
+    elif args.formula == "mathas":
+        values = {"mathas": schur_mathas(lam)}
+    else:
+        values = {"gim": schur_gim(lam, L)}
+    # Formulas that share one polynomial share its rendering.
+    text = {i: v.render() for i, v in {id(v): v for v in values.values()}.items()}
+    rendered = {name: text[id(v)] for name, v in values.items()}
     if args.formula != "all":
         if args.json:
             print(json.dumps({"value": rendered[args.formula]}))

@@ -4,7 +4,9 @@ Three independent formulas for the Schur element of a multipartition are
 implemented and cross-checked: a cancellation-free product over nodes, the
 quotient formula of Mathas, and the beta-number formula of Geck, Iancu and
 Malle.  Each builds its element as a multiset of irreducible factors
-(``_Factors``), divides by subtracting multiplicities and expands once.  On
+(``_Factors``), divides by subtracting multiplicities and expands once.
+``schur_all`` compares the three canonical factorisations first and expands
+each distinct one once, so formulas that agree share one polynomial.  On
 top of them sit the semisimplicity criterion, the defect-0 test, and the
 valuation route to the a-value.
 """
@@ -157,6 +159,15 @@ class _Factors:
         self.e_Q = [0] * l
         self.keys: Counter = Counter()
 
+    def __eq__(self, other) -> bool:
+        # Counter equality ignores zero multiplicities but compares negative
+        # ones, so a quotient that ``expand`` would refuse equals no valid one.
+        if not isinstance(other, _Factors):
+            return NotImplemented
+        return (self.l, self.sign, self.e_q, self.e_Q, self.keys) == (
+            other.l, other.sign, other.e_q, other.e_Q, other.keys
+        )
+
     def monomial(self, sign: int, e_q: int = 0, e_Q: tuple[int, ...] = ()) -> None:
         self.sign *= sign
         self.e_q += e_q
@@ -167,9 +178,11 @@ class _Factors:
         """(q^h - 1)^k = prod over d | h of Phi_d^k."""
         if h < 1:
             raise DomainError(f"q^{h} - 1 is not a product of cyclotomic polynomials")
-        for d in range(1, h + 1):
+        for d in range(1, math.isqrt(h) + 1):
             if h % d == 0:
                 self.keys["phi", d] += k
+                if d * d != h:
+                    self.keys["phi", h // d] += k
 
     def q_integer(self, h: int, k: int = 1) -> None:
         """[h]_q^k = ((q^h - 1) / (q - 1))^k."""
@@ -218,7 +231,7 @@ class _Factors:
 # The three Schur-element formulas
 
 
-def schur_cancellation_free(m: Multipartition) -> MultiLaurent:
+def _cancellation_free_factors(m: Multipartition) -> _Factors:
     """Pure product form: no division is ever performed.
 
     (-1)^(n(l-1)) q^(-n(merged)) prod over components s and nodes (i,j) of
@@ -233,7 +246,12 @@ def schur_cancellation_free(m: Multipartition) -> MultiLaurent:
             for t, other in enumerate(m.components):
                 if t != s:
                     f.cross(gen_hook_length(comp, other, i, j), s, t)
-    return f.expand()
+    return f
+
+
+def schur_cancellation_free(m: Multipartition) -> MultiLaurent:
+    """The Schur element by the cancellation-free product over nodes."""
+    return _cancellation_free_factors(m).expand()
 
 
 def _alpha_conjugate(m: Multipartition) -> int:
@@ -279,11 +297,10 @@ def xst_closed(m: Multipartition, s: int, t: int) -> MultiLaurent:
     return f.expand()
 
 
-def schur_mathas(m: Multipartition) -> MultiLaurent:
+def _mathas_factors(m: Multipartition) -> _Factors:
     """Quotient formula: every X_st quotient goes into one factor multiset.
 
-    The den binomials of each X_st divide out by multiplicity, and the
-    product is expanded once.
+    The den binomials of each X_st divide out by multiplicity.
     """
     l, n = m.level, m.rank
     f = _Factors(l)
@@ -295,16 +312,21 @@ def schur_mathas(m: Multipartition) -> MultiLaurent:
     for s in range(l):
         for t in range(s + 1, l):
             _xst_mathas(f, m, s, t)
-    return f.expand()
+    return f
 
 
-def schur_gim(m: Multipartition, L: int | None = None) -> MultiLaurent:
-    """Beta-number formula; output is independent of the symbol size L.
+def schur_mathas(m: Multipartition) -> MultiLaurent:
+    """The Schur element by Mathas's quotient formula."""
+    return _mathas_factors(m).expand()
+
+
+def _gim_factors(m: Multipartition, L: int | None = None) -> _Factors:
+    """Beta-number formula; the multiset is independent of the symbol size L.
 
     Every factor of nu/delta, the sign and monomials, and the trailing
     (q-1)^(-n) and (Q_0...Q_{l-1})^(-n) go into one factor multiset, where
-    delta's factors and the tail divide out by multiplicity; the product
-    left is expanded once.
+    delta's factors and the tail divide out by multiplicity.  Equal factors
+    are counted before they are added, so building is quadratic in L.
     """
     l, n = m.level, m.rank
     if L is None:
@@ -314,6 +336,9 @@ def schur_gim(m: Multipartition, L: int | None = None) -> MultiLaurent:
     # b_L = l L (L-1) (2lL - l - 3) / 12 is an integer for every l and L.
     f = _Factors(l)
     f.monomial(-1 if a_L % 2 else 1, l * L * (L - 1) * (2 * l * L - l - 3) // 12, (-n,) * l)
+    # at_least[s][k - 1] betas of component s are >= k: the multiplicity of
+    # k in the products over b of k = 1..b below.
+    at_least = [[sum(b >= k for b in bs) for k in range(1, max(bs, default=0) + 1)] for bs in betas]
 
     # Same-component content: nu's diagonal gives Q_s^(sum of betas) times
     # products of (q^k - 1); delta's within-component product gives
@@ -322,27 +347,47 @@ def schur_gim(m: Multipartition, L: int | None = None) -> MultiLaurent:
         bs = betas[s]
         f.e_q -= sum(j * b for j, b in enumerate(bs))
         f.e_Q[s] += sum(bs) - math.comb(L, 2)
-        for b in bs:
-            for k in range(1, b + 1):
-                f.q_power_minus_one(k)
-        for i in range(L):
-            for j in range(i + 1, L):
-                f.q_power_minus_one(bs[i] - bs[j], -1)
+        for k, c in enumerate(at_least[s], 1):
+            f.q_power_minus_one(k, c)
+        for h, c in Counter(bs[i] - bs[j] for i in range(L) for j in range(i + 1, L)).items():
+            f.q_power_minus_one(h, -c)
 
-    # Cross content of each unordered pair of components.
+    # Cross content of each unordered pair of components.  delta's factor
+    # q^a Q_s - q^b Q_t is q^b (q^(a-b) Q_s - Q_t): its q^b goes into the
+    # monomial, and the rest is counted by a - b.
     for s in range(l):
         for t in range(s + 1, l):
             f.pair(0, s, 0, t, L)
             for u, v in ((s, t), (t, s)):
-                for b in betas[u]:
-                    for k in range(1, b + 1):
-                        f.pair(k, u, 0, v)
-            for b_s in betas[s]:
-                for b_t in betas[t]:
-                    f.pair(b_s, s, b_t, t, -1)
+                for k, c in enumerate(at_least[u], 1):
+                    f.pair(k, u, 0, v, c)
+            f.e_q -= L * sum(betas[t])
+            for h, c in Counter(b_s - b_t for b_s in betas[s] for b_t in betas[t]).items():
+                f.pair(h, s, 0, t, -c)
 
     f.q_power_minus_one(1, -n)
-    return f.expand()
+    return f
+
+
+def schur_gim(m: Multipartition, L: int | None = None) -> MultiLaurent:
+    """The Schur element by the beta-number formula; independent of the symbol size L."""
+    return _gim_factors(m, L).expand()
+
+
+def schur_all(m: Multipartition, L: int | None = None) -> dict[str, MultiLaurent]:
+    """The three formulas' values, as {"cancel", "mathas", "gim"} -> polynomial.
+
+    The three factor multisets are compared first: the keys are irreducible
+    and pairwise non-associate in a unique factorisation domain, so equal
+    multisets are equal elements.  Each distinct multiset is expanded once,
+    and formulas with equal multisets share one polynomial object.
+    """
+    built = {"cancel": _cancellation_free_factors(m), "mathas": _mathas_factors(m), "gim": _gim_factors(m, L)}
+    values: dict[str, MultiLaurent] = {}
+    for name, f in built.items():
+        shared = next((values[other] for other in values if built[other] == f), None)
+        values[name] = f.expand() if shared is None else shared
+    return values
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,13 @@ import math
 import subprocess
 import sys
 
+import pytest
+
+from ariki import schur
 from ariki.basicset import dm_partition
 from ariki.cli import main
+from ariki.combinatorics import mp
+from ariki.exactalg import MultiLaurent
 from ariki.schur import CycloSpec
 
 
@@ -54,6 +59,88 @@ class TestSchurCommand:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "AGREE"
+
+    def test_huge_symbol_size_builds_in_time(self):
+        # Building GIM's factors is quadratic in L: L = 1000 takes well under a second.
+        proc = subprocess.run(
+            [sys.executable, "-m", "ariki.cli", "schur", "--lambda", "[[2],[]]",
+             "--formula", "all", "--symbol-size", "1000"],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "AGREE"
+
+    def test_all_expands_and_renders_once(self, capsys, monkeypatch):
+        calls, renders = [], []
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        def counting_render(self):
+            renders.append(self)
+            return real_render(self)
+
+        real, real_render = schur.product_divide, MultiLaurent.render
+        monkeypatch.setattr(schur, "product_divide", counting)
+        monkeypatch.setattr(MultiLaurent, "render", counting_render)
+        for argv in ([], ["--json"]):
+            calls.clear()
+            renders.clear()
+            code, out, _ = run_cli(capsys, "schur", "--lambda", "[[2,1],[1],[1]]", "--formula", "all", *argv)
+            assert code == 0 and "DISAGREE" not in out
+            assert len(calls) == 1 and len(renders) == 1
+
+    @pytest.mark.parametrize(
+        "name, builder",
+        [("cancel", "_cancellation_free_factors"), ("mathas", "_mathas_factors"), ("gim", "_gim_factors")],
+    )
+    def test_disagreement_prints_each_value(self, capsys, monkeypatch, name, builder):
+        lam = "[[2,1],[1],[1]]"
+        honest = {f: run_cli(capsys, "schur", "--lambda", lam, "--formula", f)[1] for f in ("cancel", "mathas", "gim")}
+        q_plus_one = MultiLaurent(3, {(1, 0, 0, 0): 1, (0, 0, 0, 0): 1})
+        wrong = (schur.schur_cancellation_free(mp([2, 1], [1], [1])) * q_plus_one).render()
+        real = getattr(schur, builder)
+
+        def forged(*args):
+            f = real(*args)
+            f.keys["phi", 2] += 1  # one extra factor q + 1
+            return f
+
+        monkeypatch.setattr(schur, builder, forged)
+        assert run_cli(capsys, "schur", "--lambda", lam, "--formula", name)[1] == wrong + "\n"
+        expected = {f: wrong if f == name else honest[f].strip() for f in honest}
+
+        code, out, _ = run_cli(capsys, "schur", "--lambda", lam, "--formula", "all")
+        assert code == 1
+        assert out.splitlines() == [f"{f}: {expected[f]}" for f in ("cancel", "mathas", "gim")] + ["DISAGREE"]
+        code, out, _ = run_cli(capsys, "schur", "--lambda", lam, "--formula", "all", "--json")
+        assert code == 1
+        assert json.loads(out) == {**expected, "agree": False}
+
+    def test_sharing_never_hides_a_broken_quotient(self):
+        # A negative multiplicity in one builder must reach expand, also under
+        # python -O, even though the other two multisets are equal.
+        for builder in ("_cancellation_free_factors", "_mathas_factors", "_gim_factors"):
+            code = (
+                "import sys\n"
+                "from ariki import cli, schur\n"
+                f"real = schur.{builder}\n"
+                "def forged(*args):\n"
+                "    f = real(*args)\n"
+                "    f.keys['phi', 7] -= 1\n"
+                "    f.keys['phi', 9] += 0\n"
+                "    return f\n"
+                f"schur.{builder} = forged\n"
+                "sys.exit(cli.main(['schur', '--lambda', '[[2,1],[1],[1]]', '--formula', 'all']))\n"
+            )
+            for flags in ([], ["-O"]):
+                proc = subprocess.run([sys.executable, *flags, "-c", code], capture_output=True, text=True)
+                assert proc.returncode == 1, (builder, flags, proc.stderr)
+                assert proc.stdout == "", (builder, flags)
+                assert proc.stderr.startswith("internal error: "), (builder, flags, proc.stderr)
 
     def test_bad_literal_is_a_parse_failure(self):
         for literal in ("[[1,2]]", "[[true]]"):

@@ -15,7 +15,10 @@ from ariki.errors import DomainError, InternalError
 from ariki.exactalg import MultiLaurent, product_divide, specialise
 from ariki.schur import (
     CycloSpec,
+    _cancellation_free_factors,
     _Factors,
+    _gim_factors,
+    _mathas_factors,
     a_value_via_valuation,
     alpha_identity,
     ariki_poly,
@@ -23,6 +26,7 @@ from ariki.schur import (
     is_defect_zero,
     is_semisimple,
     q_integer,
+    schur_all,
     schur_cancellation_free,
     schur_gim,
     schur_mathas,
@@ -223,6 +227,30 @@ class TestFactors:
         with pytest.raises(InternalError):
             g.expand()
 
+    def test_equality_ignores_zero_and_compares_negative_multiplicities(self):
+        def built(*keys, sign=1, e_q=0, e_Q=(0, 0)):
+            f = _Factors(2)
+            f.monomial(sign, e_q, e_Q)
+            for key, k in keys:
+                f.keys[key] += k
+            return f
+
+        base = built((("phi", 2), 1), (("x", 1, 0, 1), 2))
+        assert base == built((("phi", 2), 1), (("x", 1, 0, 1), 2), (("phi", 3), 0))
+        assert base != built((("phi", 2), 1), (("x", 1, 0, 1), 2), (("phi", 3), -1))
+        assert built((("phi", 3), -1)) != built((("phi", 3), 0))
+        assert base != built((("phi", 2), 1), (("x", 1, 0, 1), 1))
+        assert base != built((("phi", 2), 1), (("x", 1, 0, 1), 2), sign=-1)
+        assert base != built((("phi", 2), 1), (("x", 1, 0, 1), 2), e_q=1)
+        assert base != built((("phi", 2), 1), (("x", 1, 0, 1), 2), e_Q=(0, 1))
+        assert _Factors(1) != _Factors(2)
+
+    def test_divisors_found_up_to_the_square_root(self):
+        for h in range(1, 200):
+            f = _Factors(1)
+            f.q_power_minus_one(h, 2)
+            assert f.keys == {("phi", d): 2 for d in range(1, h + 1) if h % d == 0}, h
+
     def test_nonpositive_exponents_are_domain_errors(self):
         f = _Factors(2)
         for h in (0, -2):
@@ -230,6 +258,27 @@ class TestFactors:
                 f.q_power_minus_one(h)
             with pytest.raises(DomainError, match="same-component hooks"):
                 f.q_integer(h)
+
+
+class TestSchurAll:
+    def test_equals_the_three_independent_expansions(self):
+        for l, n in [(l, n) for l in (1, 2, 3) for n in range(5)]:
+            for lam in enumerate_multipartitions(l, n):
+                cancel, mathas = schur_cancellation_free(lam), schur_mathas(lam)
+                for L in (lam.length, lam.length + 1, lam.length + 3):
+                    values = schur_all(lam, L)
+                    assert list(values) == ["cancel", "mathas", "gim"]
+                    assert values["cancel"] == cancel, (lam, L)
+                    assert values["mathas"] == mathas, (lam, L)
+                    assert values["gim"] == schur_gim(lam, L), (lam, L)
+
+    def test_gim_multiset_equals_the_cancellation_free_one(self):
+        for l, n in [(l, n) for l in (1, 2, 3) for n in range(4)]:
+            for lam in enumerate_multipartitions(l, n):
+                expected = _cancellation_free_factors(lam)
+                assert _mathas_factors(lam) == expected, lam
+                for L in range(lam.length, lam.length + 41):
+                    assert _gim_factors(lam, L) == expected, (lam, L)
 
 
 def test_formulas_never_reach_the_division_kernel(monkeypatch):
