@@ -75,11 +75,16 @@ class UglovCharge:
     diagnostics: tuple[str, ...] = ()
 
 
+def _charge_rhs(spec: CycloSpec, l: int, i: int, j: int) -> int:
+    """(i - j)*e + k*l*(r_i - r_j), the right-hand side of the charge congruence mod l*e."""
+    return (i - j) * spec.e + spec.k * l * (spec.charges[i] - spec.charges[j])
+
+
 def _witness_exists(spec: CycloSpec, l: int, n: int, i: int, j: int) -> bool:
     # eta^(r d) == zeta_l^(i-j) eta^(r_i - r_j) for some -n < d < n,
     # stated as an integer congruence mod l*e.
     m_mod = l * spec.e
-    base = (i - j) * spec.e + spec.k * l * (spec.charges[i] - spec.charges[j])
+    base = _charge_rhs(spec, l, i, j)
     for d in range(-n + 1, n):
         if (base - spec.k * l * spec.r * d) % m_mod == 0:
             return True
@@ -89,7 +94,7 @@ def _witness_exists(spec: CycloSpec, l: int, n: int, i: int, j: int) -> bool:
 def _solve_s(spec: CycloSpec, l: int, anchor: int, idx: int) -> int:
     """Minimal-|s| solution of k*l*r*s == (idx-anchor)*e + k*l*(r_idx - r_anchor) mod l*e."""
     m_mod = l * spec.e
-    c = ((idx - anchor) * spec.e + spec.k * l * (spec.charges[idx] - spec.charges[anchor])) % m_mod
+    c = _charge_rhs(spec, l, idx, anchor) % m_mod
     a = spec.k * l * spec.r
     g = math.gcd(a, m_mod)
     if c % g != 0:
@@ -104,8 +109,6 @@ def _solve_s(spec: CycloSpec, l: int, anchor: int, idx: int) -> int:
 
 def dm_partition(spec: CycloSpec, l: int, n: int) -> DMPartition:
     """Connected components of the coincidence graph, ordered by least element."""
-    if spec.mode != "cyclotomic":
-        raise DomainError("the splitting is defined for cyclotomic-mode parameters")
     if spec.level != l:
         raise DomainError(f"specialisation has {spec.level} charges, expected {l}")
     adj = {i: set() for i in range(l)}
@@ -156,8 +159,7 @@ def charge_for(dm: DMPartition, class_index: int, spec: CycloSpec) -> UglovCharg
     m_mod = l * spec.e
     # Substitution check: each s_j really solves its congruence.
     for idx, sj in zip(cls, s):
-        c = ((idx - cls[0]) * spec.e + spec.k * l * (spec.charges[idx] - spec.charges[cls[0]])) % m_mod
-        if (spec.k * l * spec.r * sj - c) % m_mod != 0:
+        if (spec.k * l * spec.r * sj - _charge_rhs(spec, l, idx, cls[0])) % m_mod != 0:
             raise InternalError(f"s_{idx} = {sj} does not solve its charge congruence")
     diagnostics: list[str] = []
     eq4 = True
@@ -307,8 +309,6 @@ class OrbitDatum:
 
 def assemble_basic_set(spec: CycloSpec, l: int, n: int) -> BasicSet:
     """All multipartitions whose class projections are crystal-reachable."""
-    if spec.mode != "cyclotomic":
-        raise DomainError("basic sets are assembled from cyclotomic-mode parameters")
     if spec.level != l:
         raise DomainError(f"specialisation has {spec.level} charges, expected {l}")
     if n == 0 or is_semisimple(spec, l, n):
@@ -368,7 +368,7 @@ def assemble_basic_set_gpn(spec: CycloSpec, l: int, p: int, n: int) -> tuple[Orb
         raise DomainError(f"expected {d} or {l} charges, got {len(charges)}")
     if not (n > 2 or (n == 2 and p % 2 == 1)):
         raise DomainError("need n > 2, or n = 2 with p odd")
-    ambient = CycloSpec(spec.e, spec.k, spec.r * p, block * p, "cyclotomic")
+    ambient = CycloSpec(spec.e, spec.k, spec.r * p, block * p)
     bs = assemble_basic_set(ambient, l, n)
 
     element_set = set(bs.elements)

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .basicset import assemble_basic_set, assemble_basic_set_gpn
 from .combinatorics import (
@@ -137,6 +136,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_routes(values: dict[str, str], as_json: bool) -> int:
+    """Print one route's value, or every route's and whether they agree (exit 1 if not)."""
+    if len(values) == 1:
+        (value,) = values.values()
+        print(json.dumps({"value": value}) if as_json else value)
+        return 0
+    agree = len(set(values.values())) == 1
+    if as_json:
+        print(json.dumps({**values, "agree": agree}))
+    else:
+        for name, value in values.items():
+            print(f"{name}: {value}")
+        print("AGREE" if agree else "DISAGREE")
+    return 0 if agree else 1
+
+
 def _cmd_schur(args) -> int:
     lam = args.lam
     L = args.symbol_size
@@ -150,21 +165,7 @@ def _cmd_schur(args) -> int:
         values = {"gim": schur_gim(lam, L)}
     # Formulas that share one polynomial share its rendering.
     text = {i: v.render() for i, v in {id(v): v for v in values.values()}.items()}
-    rendered = {name: text[id(v)] for name, v in values.items()}
-    if args.formula != "all":
-        if args.json:
-            print(json.dumps({"value": rendered[args.formula]}))
-        else:
-            print(rendered[args.formula])
-        return 0
-    agree = len({r for r in rendered.values()}) == 1
-    if args.json:
-        print(json.dumps({**rendered, "agree": agree}))
-    else:
-        for name in ("cancel", "mathas", "gim"):
-            print(f"{name}: {rendered[name]}")
-        print("AGREE" if agree else "DISAGREE")
-    return 0 if agree else 1
+    return _print_routes({name: text[id(v)] for name, v in values.items()}, args.json)
 
 
 def _cmd_semisimple(args) -> int:
@@ -221,26 +222,13 @@ def _cmd_avalue(args) -> int:
         raise FlagError(f"expected {lam.level} charges, got {len(args.charges)}")
     charge = ChargeData(args.r, args.charges)
     routes = {
-        "combinatorial": lambda: a_value_combinatorial(lam, charge),
-        "hooks": lambda: a_value_hook_formula(lam, charge),
-        "valuation": lambda: Fraction(a_value_via_valuation(lam, charge)),
+        "combinatorial": a_value_combinatorial,
+        "hooks": a_value_hook_formula,
+        "valuation": a_value_via_valuation,
     }
-    if args.method != "all":
-        value = routes[args.method]()
-        if args.json:
-            print(json.dumps({"value": str(value)}))
-        else:
-            print(value)
-        return 0
-    values = {name: fn() for name, fn in routes.items()}
-    agree = len(set(values.values())) == 1
-    if args.json:
-        print(json.dumps({**{k: str(v) for k, v in values.items()}, "agree": agree}))
-    else:
-        for name in ("combinatorial", "hooks", "valuation"):
-            print(f"{name}: {values[name]}")
-        print("AGREE" if agree else "DISAGREE")
-    return 0 if agree else 1
+    # str of a Fraction (or int) is canonical, so equal values print equally.
+    values = {name: str(fn(lam, charge)) for name, fn in routes.items() if args.method in (name, "all")}
+    return _print_routes(values, args.json)
 
 
 def _params_obj(spec: CycloSpec, l: int, n: int) -> dict:

@@ -191,10 +191,6 @@ class ChargeData:
         return tuple(Fraction(c, self.r) for c in self.charges)
 
 
-def _floor(x: Fraction) -> int:
-    return math.floor(x)
-
-
 @dataclass(frozen=True)
 class ShiftedSymbol:
     """Rows of entries lambda_i - i + s + m_j, i = 1..s+floor(m_j), per component."""
@@ -240,7 +236,7 @@ def min_symbol_size(m: Multipartition, charge: ChargeData) -> int:
         raise DomainError(f"charge level {charge.level} != multipartition level {m.level}")
     s = m.length + 1
     for c, mj in zip(m.components, charge.m):
-        f = _floor(mj)
+        f = math.floor(mj)
         s = max(s, c.length - f, 1 - f)
     return s
 
@@ -254,7 +250,7 @@ def shifted_symbol(m: Multipartition, charge: ChargeData, size: int | None = Non
         raise DomainError("symbol size must be >= 1")
     rows = []
     for c, mj in zip(m.components, charge.m):
-        width = size + _floor(mj)
+        width = size + math.floor(mj)
         if width < c.length or width < 0:
             raise DomainError(
                 f"symbol size {size} leaves a row of width {width} for a component of length {c.length}"

@@ -46,18 +46,16 @@ from .exactalg import (
 class CycloSpec:
     """Parameters of a specialisation onto roots of unity.
 
-    eta = exp(2*pi*i*k/e) is a primitive e-th root of unity.  In
-    "cyclotomic" mode the charges are the integers r_j and the map factors
-    through q -> u^r, Q_j -> zeta_l^j u^(r_j) before u -> eta, so overall
-    q -> eta^r, Q_j -> zeta_l^j eta^(r_j).  In "rootofunity" mode the
-    charges are the v_j and the map is q -> eta, Q_j -> eta^(v_j).
+    eta = exp(2*pi*i*k/e) is a primitive e-th root of unity.  The charges
+    are the integers r_j and the map factors through q -> u^r,
+    Q_j -> zeta_l^j u^(r_j) before u -> eta, so overall q -> eta^r,
+    Q_j -> zeta_l^j eta^(r_j).
     """
 
     e: int
     k: int
     r: int
     charges: tuple[int, ...]
-    mode: str = "cyclotomic"
 
     def __post_init__(self):
         object.__setattr__(self, "charges", tuple(self.charges))
@@ -67,16 +65,12 @@ class CycloSpec:
             raise DomainError("gcd(k,e) must be 1")
         if self.r < 1:
             raise DomainError("r must be a positive integer")
-        if self.mode not in ("cyclotomic", "rootofunity"):
-            raise DomainError(f"unknown mode {self.mode!r}")
 
     @property
     def level(self) -> int:
         return len(self.charges)
 
     def charge_data(self) -> ChargeData:
-        if self.mode != "cyclotomic":
-            raise DomainError("charge data only makes sense in cyclotomic mode")
         return ChargeData(self.r, self.charges)
 
 
@@ -103,8 +97,6 @@ def spec_map_for(spec: CycloSpec, l: int) -> SpecMap:
     """The full evaluation map of a CycloSpec, with every variable sent to Z[zeta_N]."""
     if spec.level != l:
         raise DomainError(f"specialisation has {spec.level} charges, expected {l}")
-    if spec.mode == "rootofunity":
-        return spec_map_root_of_unity(spec.e, spec.k, spec.charges)
     n = (l * spec.e) // math.gcd(l, spec.e)
     we = n // spec.e
     wl = n // l

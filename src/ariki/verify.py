@@ -3,12 +3,16 @@
 Each suite re-checks one family of identities with an independent oracle:
 cross-multiplied canonical forms for the rational lemma, brute-force
 partial sums for dominance, the all-Schur-elements scan against the
-product criterion, and so on.  All randomness is seeded, so output is
-identical across runs and across worker counts.
+product criterion, and so on.  Each suite is a generator of (checks,
+failure) pairs, and ``_suite`` names, times and tallies it into a
+``SuiteResult``.  All randomness is seeded, so output is identical across
+runs and across worker counts.
 """
 
 from __future__ import annotations
 
+import functools
+import inspect
 import math
 import os
 import random
@@ -79,10 +83,25 @@ def _pmap(fn, items, jobs: int):
         return list(ex.map(fn, items, chunksize=max(1, len(items) // (4 * workers))))
 
 
-def _merge(name: str, t0: float, results) -> SuiteResult:
-    checks = sum(c for c, _ in results)
-    failure = next((f for _, f in results if f is not None), None)
-    return SuiteResult(name, failure is None, checks, time.perf_counter() - t0, failure)
+def _suite(name: str):
+    """Run a generator of (checks, failure or None) pairs as the suite `name`.
+
+    The result sums the checks, keeps the first failure and times the run.
+    """
+
+    def decorate(checks_of):
+        @functools.wraps(checks_of)
+        def run(*args, **kwargs) -> SuiteResult:
+            t0 = time.perf_counter()
+            checks, failure = 0, None
+            for c, f in checks_of(*args, **kwargs):
+                checks += c
+                failure = failure or f
+            return SuiteResult(name, failure is None, checks, time.perf_counter() - t0, failure)
+
+        return run
+
+    return decorate
 
 
 # ---------------------------------------------------------------------------
@@ -104,13 +123,11 @@ def _lemma_alpha_worker(lam: Multipartition) -> tuple[int, str | None]:
     return 1, f"alpha identity fails for {multipartition_to_json(lam)}"
 
 
-def verify_lemmas(max_n: int = 6, jobs: int = 1) -> SuiteResult:
-    t0 = time.perf_counter()
+@_suite("lemmas")
+def verify_lemmas(max_n: int = 6, jobs: int = 1):
     parts = [p for n in range(1, max_n + 1) for p in partitions_of(n)]
-    results = _pmap(_lemma_rational_worker, parts, jobs)
-    lams = enumerate_multipartitions(3, max_n)
-    results += _pmap(_lemma_alpha_worker, lams, jobs)
-    return _merge("lemmas", t0, results)
+    yield from _pmap(_lemma_rational_worker, parts, jobs)
+    yield from _pmap(_lemma_alpha_worker, enumerate_multipartitions(3, max_n), jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -130,16 +147,15 @@ def _formulas_worker(lam: Multipartition) -> tuple[int, str | None]:
     return checks, None
 
 
-def verify_formulas(max_l: int = 3, max_n: int = 4, jobs: int = 1) -> SuiteResult:
-    t0 = time.perf_counter()
+@_suite("formulas")
+def verify_formulas(max_l: int = 3, max_n: int = 4, jobs: int = 1):
     lams: list[Multipartition] = []
     for l in range(1, max_l + 1):
         for n in range(0, max_n + 1):
             lams.extend(enumerate_multipartitions(l, n))
     for n in range(0, max_n):
         lams.extend(enumerate_multipartitions(max_l + 1, n))
-    results = _pmap(_formulas_worker, lams, jobs)
-    return _merge("formulas", t0, results)
+    yield from _pmap(_formulas_worker, lams, jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -180,15 +196,15 @@ def _sigma_worker(job) -> tuple[int, str | None]:
     return checks, None
 
 
-def verify_avalues(max_l: int = 3, max_n: int = 4, jobs: int = 1, n_charges: int = 10) -> SuiteResult:
-    t0 = time.perf_counter()
+@_suite("avalues")
+def verify_avalues(max_l: int = 3, max_n: int = 4, jobs: int = 1):
     rng = random.Random(_SEED)
     jobs_list = []
     for l in range(1, max_l + 1):
         lams = [lam for n in range(0, max_n + 1) for lam in enumerate_multipartitions(l, n)]
-        for _ in range(n_charges):
+        for _ in range(10):
             jobs_list.append((_random_charge(rng, l), lams))
-    results = _pmap(_avalue_worker, jobs_list, jobs)
+    yield from _pmap(_avalue_worker, jobs_list, jobs)
 
     sigma_jobs = []
     for l in range(1, max_l + 2):
@@ -201,8 +217,7 @@ def verify_avalues(max_l: int = 3, max_n: int = 4, jobs: int = 1, n_charges: int
                 block = tuple(rng.randint(-6, 6) for _ in range(d))
                 charge = ChargeData(rng.randint(1, 6), block * p)
                 sigma_jobs.append((charge, p, d, lams))
-    results += _pmap(_sigma_worker, sigma_jobs, jobs)
-    return _merge("avalues", t0, results)
+    yield from _pmap(_sigma_worker, sigma_jobs, jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -232,8 +247,8 @@ def _semisimple_worker(job) -> tuple[int, str | None]:
     return 1, None
 
 
-def verify_semisimple(jobs: int = 1) -> SuiteResult:
-    t0 = time.perf_counter()
+@_suite("semisimple")
+def verify_semisimple(jobs: int = 1):
     rng = random.Random(_SEED + 1)
     grid = []
     for l in (1, 2, 3):
@@ -244,8 +259,7 @@ def verify_semisimple(jobs: int = 1) -> SuiteResult:
                 charges = tuple(rng.randint(-4, 4) for _ in range(l))
                 grid.append((CycloSpec(e, k, r, charges), l, n))
     assert len(grid) >= 50
-    results = _pmap(_semisimple_worker, grid, jobs)
-    return _merge("semisimple", t0, results)
+    yield from _pmap(_semisimple_worker, grid, jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -268,8 +282,8 @@ def _defect0_worker(job) -> tuple[int, str | None]:
     return checks, None
 
 
-def verify_defect0(max_l: int = 3, max_n: int = 4, jobs: int = 1) -> SuiteResult:
-    t0 = time.perf_counter()
+@_suite("defect0")
+def verify_defect0(max_l: int = 3, max_n: int = 4, jobs: int = 1):
     rng = random.Random(_SEED + 2)
     jobs_list = []
     for l in range(1, max_l + 1):
@@ -280,8 +294,7 @@ def verify_defect0(max_l: int = 3, max_n: int = 4, jobs: int = 1) -> SuiteResult
         for n in range(0, max_n + 1):
             for lam in enumerate_multipartitions(l, n):
                 jobs_list.append((lam, cases))
-    results = _pmap(_defect0_worker, jobs_list, jobs)
-    return _merge("defect0", t0, results)
+    yield from _pmap(_defect0_worker, jobs_list, jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -340,8 +353,8 @@ def _brute_dominates(xs, ys) -> bool:
     return all(sum(xs[: t + 1]) >= sum(ys[: t + 1]) for t in range(len(xs)))
 
 
-def verify_dominance(max_l: int = 3, max_n: int = 4, jobs: int = 1, instances: int = 1000) -> SuiteResult:
-    t0 = time.perf_counter()
+@_suite("dominance")
+def verify_dominance(max_l: int = 3, max_n: int = 4, jobs: int = 1):
     rng = random.Random(_SEED + 3)
     jobs_list = []
     for l in range(1, max_l + 1):
@@ -349,88 +362,69 @@ def verify_dominance(max_l: int = 3, max_n: int = 4, jobs: int = 1, instances: i
             lams = list(enumerate_multipartitions(l, n))
             for _ in range(3):
                 jobs_list.append((_random_charge(rng, l), lams))
-    results = _pmap(_dominance_worker, jobs_list, jobs)
+    yield from _pmap(_dominance_worker, jobs_list, jobs)
 
-    checks = 0
-    failure = None
-    for _ in range(instances):
+    for _ in range(1000):
         mus, nus = _concat_instance(rng)
-        checks += 1
         flat_mu = [x for chunk in mus for x in chunk]
         flat_nu = [x for chunk in nus for x in chunk]
         if not multiset_dominates(flat_mu, flat_nu) or not _brute_dominates(flat_mu, flat_nu):
-            failure = failure or f"concatenation dominance fails for {mus} vs {nus}"
-            continue
-        all_equal = all(sorted(a) == sorted(b) for a, b in zip(mus, nus))
-        concat_equal = sorted(flat_mu) == sorted(flat_nu)
-        if concat_equal and not all_equal:
-            failure = failure or f"concatenations equal with unequal components: {mus} vs {nus}"
-    results.append((checks, failure))
-    return _merge("dominance", t0, results)
+            yield 1, f"concatenation dominance fails for {mus} vs {nus}"
+        elif sorted(flat_mu) == sorted(flat_nu) and any(sorted(a) != sorted(b) for a, b in zip(mus, nus)):
+            yield 1, f"concatenations equal with unequal components: {mus} vs {nus}"
+        else:
+            yield 1, None
 
 
 # ---------------------------------------------------------------------------
 # fuzz
 
 
-def _random_laurent(rng: random.Random, l: int, max_terms: int = 6) -> MultiLaurent:
+def _random_laurent(rng: random.Random, l: int) -> MultiLaurent:
     terms = {}
-    for _ in range(rng.randint(1, max_terms)):
+    for _ in range(rng.randint(1, 6)):
         exps = tuple(rng.randint(-3, 3) for _ in range(l + 1))
         terms[exps] = rng.randint(-5, 5)
     return MultiLaurent(l, terms)
 
 
-def verify_fuzz(jobs: int = 1, rounds: int = 500) -> SuiteResult:
-    t0 = time.perf_counter()
+_FUZZ_ROUNDS = 500
+
+
+@_suite("fuzz")
+def verify_fuzz(jobs: int = 1):
     rng = random.Random(_SEED + 4)
-    checks = 0
-    failure = None
-
-    def fail(msg: str):
-        nonlocal failure
-        failure = failure or msg
-
     from .exactalg import _poly_mul
 
     for n in range(1, 25):
-        checks += 1
         prod = [1]
         for d in range(1, n + 1):
             if n % d == 0:
                 prod = _poly_mul(prod, list(cyclotomic_polynomial(d)))
         expect = [-1] + [0] * (n - 1) + [1]
-        if prod != expect:
-            fail(f"cyclotomic product does not rebuild x^{n}-1")
+        yield 1, None if prod == expect else f"cyclotomic product does not rebuild x^{n}-1"
         # zeta^n == 1 by repeated multiplication, not by exponent reduction
         z = CyclotomicInt.zeta_power(n, 1)
         acc = CyclotomicInt.from_int(n, 1)
         for _ in range(n):
             acc = acc * z
-        checks += 1
-        if acc != CyclotomicInt.from_int(n, 1):
-            fail(f"zeta_{n}^{n} != 1")
+        yield 1, None if acc == CyclotomicInt.from_int(n, 1) else f"zeta_{n}^{n} != 1"
 
     for _ in range(200):
         n = rng.randint(1, 24)
         x = CyclotomicInt(n, tuple(rng.randint(-9, 9) for _ in range(len(cyclotomic_polynomial(n)) - 1)))
-        checks += 1
-        if not (x - x).is_zero():
-            fail("x - x is not zero")
-        checks += 1
-        if not x.is_zero() and (x + (-x)).coeffs != CyclotomicInt.zero(n).coeffs:
-            fail("additive inverse broken")
+        yield 1, None if (x - x).is_zero() else "x - x is not zero"
+        inverse_ok = x.is_zero() or (x + (-x)).coeffs == CyclotomicInt.zero(n).coeffs
+        yield 1, None if inverse_ok else "additive inverse broken"
 
     for _ in range(200):
         n = rng.randint(2, 24)
         coeffs = tuple(rng.randint(-9, 9) for _ in range(len(cyclotomic_polynomial(n)) - 1))
         if all(c == 0 for c in coeffs):
             coeffs = (1,) + coeffs[1:]
-        checks += 1
-        if CyclotomicInt(n, coeffs).is_zero():
-            fail("nonzero canonical vector reported zero")
+        yield 1, None if not CyclotomicInt(n, coeffs).is_zero() else "nonzero canonical vector reported zero"
 
-    for _ in range(rounds):
+    for _ in range(_FUZZ_ROUNDS):
         l = rng.randint(1, 3)
         f = _random_laurent(rng, l)
         g = _random_laurent(rng, l)
@@ -445,14 +439,10 @@ def verify_fuzz(jobs: int = 1, rounds: int = 500) -> SuiteResult:
         rebuilt = MultiLaurent.zero(l)
         for e, c in split:
             rebuilt = rebuilt + MultiLaurent(l, {e: c})
-        checks += 1
-        if rebuilt != f:
-            fail(f"canonical form broke under shuffled insertion: {f.render()}")
-        checks += 1
-        if (f - g).is_zero() != (f == g):
-            fail("difference zero-test disagrees with equality")
+        yield 1, None if rebuilt == f else f"canonical form broke under shuffled insertion: {f.render()}"
+        yield 1, None if (f - g).is_zero() == (f == g) else "difference zero-test disagrees with equality"
 
-    for _ in range(rounds):
+    for _ in range(_FUZZ_ROUNDS):
         l = rng.randint(1, 3)
         f = _random_laurent(rng, l)
         g = _random_laurent(rng, l)
@@ -461,25 +451,20 @@ def verify_fuzz(jobs: int = 1, rounds: int = 500) -> SuiteResult:
             q_image=(rng.randint(0, 11), rng.randint(-2, 2)),
             Q_images=tuple((rng.randint(0, 11), rng.randint(-2, 2)) for _ in range(l)),
         )
-        checks += 2
-        if specialise(f * g, theta) != specialise(f, theta) * specialise(g, theta):
-            fail("specialisation is not multiplicative")
-        if specialise(f + g, theta) != specialise(f, theta) + specialise(g, theta):
-            fail("specialisation is not additive")
+        multiplicative = specialise(f * g, theta) == specialise(f, theta) * specialise(g, theta)
+        yield 1, None if multiplicative else "specialisation is not multiplicative"
+        additive = specialise(f + g, theta) == specialise(f, theta) + specialise(g, theta)
+        yield 1, None if additive else "specialisation is not additive"
 
     done = 0
-    while done < rounds:
+    while done < _FUZZ_ROUNDS:
         l = rng.randint(1, 3)
         a = _random_laurent(rng, l)
         b = _random_laurent(rng, l)
         if a.is_zero() or b.is_zero():
             continue
         done += 1
-        checks += 1
-        if exact_divide(a * b, b) != a:
-            fail(f"division roundtrip broke for {a.render()} / {b.render()}")
-
-    return SuiteResult("fuzz", failure is None, checks, time.perf_counter() - t0, failure)
+        yield 1, None if exact_divide(a * b, b) == a else f"division roundtrip broke for {a.render()} / {b.render()}"
 
 
 # ---------------------------------------------------------------------------
@@ -490,104 +475,65 @@ def _as_json_set(elements) -> set[str]:
     return {multipartition_to_json(x) for x in elements}
 
 
-def verify_example_basic_set(jobs: int = 1) -> SuiteResult:
+@_suite("example-basic-set")
+def verify_example_basic_set(jobs: int = 1):
     """G(3,1,2) with e=12, k=1, r=6, charges (3,-1,-2)."""
-    t0 = time.perf_counter()
-    checks = 0
-    failure = None
-
-    def expect(cond: bool, msg: str):
-        nonlocal checks, failure
-        checks += 1
-        if not cond:
-            failure = failure or msg
-
     spec = CycloSpec(e=12, k=1, r=6, charges=(3, -1, -2))
-    expect(not is_semisimple(spec, 3, 2), "G(3,1,2) parameters should not be semisimple")
+    yield 1, None if not is_semisimple(spec, 3, 2) else "G(3,1,2) parameters should not be semisimple"
     dm = dm_partition(spec, 3, 2)
-    expect(dm.classes == ((0, 1), (2,)), f"classes {dm.classes}")
+    yield 1, None if dm.classes == ((0, 1), (2,)) else f"classes {dm.classes}"
     ch0, ch1 = charge_for(dm, 0, spec), charge_for(dm, 1, spec)
-    expect(ch0.s == (0, 0) and ch0.e_prime == 2, f"first class charge {ch0}")
-    expect(ch1.s == (0,) and ch1.e_prime == 2, f"second class charge {ch1}")
-    expect(ch0.eq4_exact and ch1.eq4_exact, "charge relation should hold exactly here")
-    expect(
-        _as_json_set(uglov_multipartitions(2, 2, ch0)) == {"[[2],[]]", "[[1],[1]]"},
-        "rank-2 level-2 crystal layer",
+    yield 1, None if ch0.s == (0, 0) and ch0.e_prime == 2 else f"first class charge {ch0}"
+    yield 1, None if ch1.s == (0,) and ch1.e_prime == 2 else f"second class charge {ch1}"
+    yield 1, None if ch0.eq4_exact and ch1.eq4_exact else "charge relation should hold exactly here"
+    layers = (
+        (2, 2, ch0, {"[[2],[]]", "[[1],[1]]"}, "rank-2 level-2 crystal layer"),
+        (2, 1, ch0, {"[[1],[]]"}, "rank-1 level-2 crystal layer"),
+        (1, 1, ch1, {"[[1]]"}, "rank-1 level-1 layer"),
+        (1, 2, ch1, {"[[2]]"}, "rank-2 level-1 layer"),
     )
-    expect(
-        _as_json_set(uglov_multipartitions(2, 1, ch0)) == {"[[1],[]]"},
-        "rank-1 level-2 crystal layer",
-    )
-    expect(_as_json_set(uglov_multipartitions(1, 1, ch1)) == {"[[1]]"}, "rank-1 level-1 layer")
-    expect(_as_json_set(uglov_multipartitions(1, 2, ch1)) == {"[[2]]"}, "rank-2 level-1 layer")
+    for level, rank, ch, expected, msg in layers:
+        yield 1, None if _as_json_set(uglov_multipartitions(level, rank, ch)) == expected else msg
     bs = assemble_basic_set(spec, 3, 2)
-    expect(
-        _as_json_set(bs.elements)
-        == {"[[2],[],[]]", "[[1],[1],[]]", "[[1],[],[1]]", "[[],[],[2]]"},
-        f"basic set {_as_json_set(bs.elements)}",
-    )
-    expect(len(bs.elements) == 4, "basic set size")
+    elements = _as_json_set(bs.elements)
+    expected = {"[[2],[],[]]", "[[1],[1],[]]", "[[1],[],[1]]", "[[],[],[2]]"}
+    yield 1, None if elements == expected else f"basic set {elements}"
+    yield 1, None if len(bs.elements) == 4 else "basic set size"
     # Computable part of the triangularity witness: distinct kappas and
     # three-route a-value agreement on the basic set.
     charge = spec.charge_data()
     size = max(min_symbol_size(lam, charge) for lam in bs.elements)
     kappas = [kappa(lam, charge, size).entries for lam in bs.elements]
-    expect(len(set(kappas)) == len(kappas), "kappa sequences should be pairwise distinct")
+    yield 1, None if len(set(kappas)) == len(kappas) else "kappa sequences should be pairwise distinct"
     for lam in bs.elements:
         a = a_value_combinatorial(lam, charge)
-        expect(
-            a == a_value_hook_formula(lam, charge) == a_value_via_valuation(lam, charge),
-            f"a-value routes disagree on {multipartition_to_json(lam)}",
-        )
-    return SuiteResult("example-basic-set", failure is None, checks, time.perf_counter() - t0, failure)
+        agree = a == a_value_hook_formula(lam, charge) == a_value_via_valuation(lam, charge)
+        yield 1, None if agree else f"a-value routes disagree on {multipartition_to_json(lam)}"
 
 
-def verify_example_orbits(jobs: int = 1) -> SuiteResult:
+@_suite("example-orbits")
+def verify_example_orbits(jobs: int = 1):
     """G(3,3,2) with p=3, e=12, k=1, r=2, block charge (0,)."""
-    t0 = time.perf_counter()
-    checks = 0
-    failure = None
-
-    def expect(cond: bool, msg: str):
-        nonlocal checks, failure
-        checks += 1
-        if not cond:
-            failure = failure or msg
-
     spec2 = CycloSpec(e=12, k=1, r=2, charges=(0,))
     ambient = CycloSpec(e=12, k=1, r=6, charges=(0, 0, 0))
     bs2 = assemble_basic_set(ambient, 3, 2)
-    expect(
-        _as_json_set(bs2.elements)
-        == {
-            "[[1],[1],[]]",
-            "[[],[1],[1]]",
-            "[[1],[],[1]]",
-            "[[2],[],[]]",
-            "[[],[2],[]]",
-            "[[],[],[2]]",
-        },
-        f"ambient basic set {_as_json_set(bs2.elements)}",
-    )
-    expect(len(bs2.elements) == 6, "ambient basic set size")
+    elements = _as_json_set(bs2.elements)
+    expected = {"[[1],[1],[]]", "[[],[1],[1]]", "[[1],[],[1]]", "[[2],[],[]]", "[[],[2],[]]", "[[],[],[2]]"}
+    yield 1, None if elements == expected else f"ambient basic set {elements}"
+    yield 1, None if len(bs2.elements) == 6 else "ambient basic set size"
     orbits = assemble_basic_set_gpn(spec2, 3, 3, 2)
-    expect(len(orbits) == 2, f"orbit count {len(orbits)}")
+    yield 1, None if len(orbits) == 2 else f"orbit count {len(orbits)}"
     reps = {multipartition_to_json(o.representative) for o in orbits}
-    expect(reps == {"[[1],[1],[]]", "[[2],[],[]]"}, f"orbit representatives {reps}")
-    expect(
-        all(o.orbit_size == 3 and o.stabilizer_size == 1 for o in orbits),
-        "orbit sizes and stabilizers",
-    )
-    return SuiteResult("example-orbits", failure is None, checks, time.perf_counter() - t0, failure)
+    yield 1, None if reps == {"[[1],[1],[]]", "[[2],[],[]]"} else f"orbit representatives {reps}"
+    stable = all(o.orbit_size == 3 and o.stabilizer_size == 1 for o in orbits)
+    yield 1, None if stable else "orbit sizes and stabilizers"
 
 
-def verify_examples(jobs: int = 1) -> SuiteResult:
-    t0 = time.perf_counter()
-    parts = [verify_example_basic_set(jobs), verify_example_orbits(jobs)]
-    failure = next((p.failure for p in parts if p.failure), None)
-    return SuiteResult(
-        "examples", all(p.passed for p in parts), sum(p.checks for p in parts), time.perf_counter() - t0, failure
-    )
+@_suite("examples")
+def verify_examples(jobs: int = 1):
+    # __wrapped__ is each example's undecorated generator of checks.
+    yield from verify_example_basic_set.__wrapped__(jobs)
+    yield from verify_example_orbits.__wrapped__(jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -609,19 +555,13 @@ SUITES = {
 def run_suites(
     names, max_l: int | None = None, max_n: int | None = None, jobs: int = 1
 ) -> list[SuiteResult]:
+    """Run the named suites in order; each gets the scopes its signature names."""
     if "all" in names:
         names = list(SUITES)
+    scopes = {k: v for k, v in (("max_l", max_l), ("max_n", max_n)) if v is not None}
     out = []
     for name in names:
-        if name not in SUITES:
-            raise KeyError(name)
         fn = SUITES[name]
-        kwargs = {"jobs": jobs}
-        if name in ("formulas", "avalues", "dominance", "defect0") and max_l is not None:
-            kwargs["max_l"] = max_l
-        if name in ("formulas", "avalues", "dominance", "defect0") and max_n is not None:
-            kwargs["max_n"] = max_n
-        if name == "lemmas" and max_n is not None:
-            kwargs["max_n"] = max_n
-        out.append(fn(**kwargs))
+        params = inspect.signature(fn).parameters
+        out.append(fn(jobs=jobs, **{k: v for k, v in scopes.items() if k in params}))
     return out

@@ -71,7 +71,7 @@ def test_criterion_8_property_suites():
     # kappa dominance vs strict a-value inequality (exhaustive), the
     # multiset concatenation lemma (1000 randomized instances against raw
     # partial sums), and the exact-arithmetic fuzz suites (>= 1500)
-    dominance = verify_dominance(max_l=3, max_n=4, instances=1000)
+    dominance = verify_dominance(max_l=3, max_n=4)
     fuzz = verify_fuzz()
     assert fuzz.checks >= 1500
     _report(8, "dominance properties", dominance, 120)

@@ -46,11 +46,6 @@ class TestDMPartition:
         dm = dm_partition(spec, 3, 3)
         assert dm.classes == ((0,), (1,), (2,))
 
-    def test_requires_cyclotomic_mode(self):
-        spec = CycloSpec(3, 1, 1, (0, 1), mode="rootofunity")
-        with pytest.raises(DomainError):
-            dm_partition(spec, 2, 2)
-
     def test_charge_for_checks_and_diagnostics(self):
         dm = dm_partition(SPEC_312, 3, 2)
         ch = charge_for(dm, 0, SPEC_312)

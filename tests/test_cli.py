@@ -2,13 +2,14 @@ import json
 import math
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 from ariki import schur
 from ariki.basicset import dm_partition
 from ariki.cli import main
-from ariki.combinatorics import mp
+from ariki.combinatorics import mp, multipartition_to_json
 from ariki.exactalg import MultiLaurent
 from ariki.schur import CycloSpec
 
@@ -274,6 +275,22 @@ class TestAvalueCommand:
         assert obj["agree"] is True
         assert obj["combinatorial"] == obj["hooks"] == obj["valuation"]
 
+    def test_disagreement_prints_each_value(self, capsys, monkeypatch):
+        from ariki import cli
+
+        argv = ("avalue", "--lambda", "[[1],[1],[]]", "--r", "6", "--charges", "3,-1,-2")
+        honest = run_cli(capsys, *argv, "--method", "hooks")[1].strip()
+        real = cli.a_value_hook_formula
+        monkeypatch.setattr(cli, "a_value_hook_formula", lambda lam, charge: real(lam, charge) + 1)
+        wrong = str(Fraction(honest) + 1)
+
+        code, out, _ = run_cli(capsys, *argv, "--method", "all")
+        assert code == 1
+        assert out.splitlines() == [f"combinatorial: {honest}", f"hooks: {wrong}", f"valuation: {honest}", "DISAGREE"]
+        code, out, _ = run_cli(capsys, *argv, "--method", "all", "--json")
+        assert code == 1
+        assert json.loads(out) == {"combinatorial": honest, "hooks": wrong, "valuation": honest, "agree": False}
+
 
 class TestBasicSetCommands:
     def test_worked_example_text(self, capsys):
@@ -392,6 +409,42 @@ class TestVerifyCommand:
         monkeypatch.setattr(verify.os, "cpu_count", lambda: None)
         assert verify._pmap(abs, [-1, -2], 10**6) == [1, 2]
         assert len(seen) == pools  # an unknown CPU count runs serially
+
+    def test_failure_in_a_pooled_suite(self, capsys, monkeypatch):
+        import ariki.verify as verify
+
+        broken = {"[[1],[1],[]]", "[[],[1],[1]]"}
+        monkeypatch.setattr(verify, "alpha_identity", lambda lam: multipartition_to_json(lam) not in broken)
+        code, out, _ = run_cli(capsys, "verify", "--suite", "lemmas", "--max-n", "2", "--jobs", "1")
+        assert code == 1
+        assert out == "lemmas: FAIL (13 checks) first counterexample: alpha identity fails for [[1],[1],[]]\n"
+
+    @pytest.mark.parametrize(
+        "attr, forged, failure",
+        [
+            ("is_semisimple", lambda *args: True, "G(3,1,2) parameters should not be semisimple"),
+            ("assemble_basic_set_gpn", lambda *args: (), "orbit count 0"),
+        ],
+    )
+    def test_failure_in_an_inline_suite(self, capsys, monkeypatch, attr, forged, failure):
+        # One forgery in each of the two chained example suites; every check still counts.
+        import ariki.verify as verify
+
+        monkeypatch.setattr(verify, attr, forged)
+        code, out, _ = run_cli(capsys, "verify", "--suite", "examples")
+        assert code == 1
+        assert out == f"examples: FAIL (21 checks) first counterexample: {failure}\n"
+
+    def test_each_suite_gets_the_scopes_it_takes(self, capsys):
+        from ariki.verify import verify_formulas, verify_lemmas, verify_semisimple
+
+        code, out, _ = run_cli(
+            capsys, "verify", "--suite", "lemmas", "--suite", "formulas", "--suite", "semisimple",
+            "--max-l", "1", "--max-n", "2",
+        )
+        direct = [verify_lemmas(max_n=2), verify_formulas(max_l=1, max_n=2), verify_semisimple()]
+        assert code == 0
+        assert out.splitlines() == [res.line() for res in direct]
 
 
 class TestDeterminism:

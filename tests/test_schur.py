@@ -339,11 +339,6 @@ class TestSemisimplicity:
         for spec, l, n, expected in cases:
             assert is_semisimple(spec, l, n) == expected == schur_scan(spec, l, n)
 
-    def test_root_of_unity_mode(self, schur_scan):
-        spec = CycloSpec(3, 1, 1, (0, 1), mode="rootofunity")
-        assert is_semisimple(spec, 2, 1)
-        assert schur_scan(spec, 2, 1)
-
     def test_invalid_spec(self):
         with pytest.raises(DomainError, match="gcd"):
             CycloSpec(4, 2, 1, (0,))
