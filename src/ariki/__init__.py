@@ -49,6 +49,7 @@ from .schur import (
     schur_cancellation_free,
     schur_gim,
     schur_mathas,
+    theta_p,
     xst_closed,
 )
 from .basicset import (

@@ -479,8 +479,12 @@ class CyclotomicInt:
 
     @classmethod
     def zeta_power(cls, n: int, k: int) -> "CyclotomicInt":
-        k %= n
-        return cls(n, _reduce_mod_cyclotomic([0] * k + [1], n))
+        return cls.from_powers(n, [0] * (k % n) + [1])
+
+    @classmethod
+    def from_powers(cls, n: int, coeffs: Iterable[int]) -> "CyclotomicInt":
+        """sum(c_i * zeta^i) for coefficients c_0, c_1, ... of any length."""
+        return cls(n, _reduce_mod_cyclotomic(coeffs, n))
 
     def _check(self, other: "CyclotomicInt") -> None:
         if self.n != other.n:
@@ -658,4 +662,4 @@ def specialise(f: MultiLaurent, theta: SpecMap) -> CycloLaurent:
         if row is None:
             row = rows[b] = [0] * n
         row[sum(map(mul, exps, a_images)) % n] += c
-    return CycloLaurent(n, {b: CyclotomicInt(n, _reduce_mod_cyclotomic(row, n)) for b, row in rows.items()})
+    return CycloLaurent(n, {b: CyclotomicInt.from_powers(n, row) for b, row in rows.items()})

@@ -9,6 +9,12 @@ Malle.  Each builds its element as a multiset of irreducible factors
 each distinct one once, so formulas that agree share one polynomial.  On
 top of them sit the semisimplicity criterion, the defect-0 test, and the
 valuation route to the a-value.
+
+The criterion is a product of simple factors, and its specialisation lies
+in Z[zeta_N], which has no zero divisors: ``is_semisimple`` tests each
+factor's image in integer arithmetic and ``theta_p`` multiplies the images
+sparsely.  ``ariki_poly`` multiplies the criterion out; it is an oracle for
+``verify`` and the tests only.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ from .combinatorics import (
 from .errors import DomainError, InternalError
 from .exactalg import (
     CycloLaurent,
+    CyclotomicInt,
     MultiLaurent,
     SpecMap,
     cyclotomic_polynomial,
@@ -429,23 +436,74 @@ def alpha_identity(m: Multipartition) -> bool:
 # Semisimplicity, defect 0, valuation a-value
 
 
-def ariki_poly(l: int, n: int) -> MultiLaurent:
-    """prod [i]_q for i <= n, times prod over s < t, -n < k < n of (q^k Q_s - Q_t)."""
+def _criterion_factors(l: int, n: int) -> tuple[range, list[tuple[int, int, int]]]:
+    """The factors of Ariki's criterion: each i is [i]_q, 2 <= i <= n, and
+    each (k, s, t) is q^k Q_s - Q_t, s < t and -n < k < n."""
     if l < 1 or n < 1:
         raise DomainError("need l >= 1 and n >= 1")
+    return range(2, n + 1), [(k, s, t) for s in range(l) for t in range(s + 1, l) for k in range(-n + 1, n)]
+
+
+def ariki_poly(l: int, n: int) -> MultiLaurent:
+    """prod [i]_q for i <= n, times prod over s < t, -n < k < n of (q^k Q_s - Q_t).
+
+    The criterion multiplied out: an oracle for ``verify`` and the tests.
+    ``is_semisimple`` and ``theta_p`` read the same factors one by one.
+    """
+    q_integers, pairs = _criterion_factors(l, n)
     acc = MultiLaurent.one(l)
-    for i in range(2, n + 1):
+    for i in q_integers:
         acc = acc * q_integer(l, i)
-    for s in range(l):
-        for t in range(s + 1, l):
-            for k in range(-n + 1, n):
-                acc = acc * _pair_binomial(l, k, s, 0, t)
+    for k, s, t in pairs:
+        acc = acc * _pair_binomial(l, k, s, 0, t)
     return acc
 
 
+def _zeta_exponents(spec: CycloSpec, l: int) -> tuple[int, int, list[int]]:
+    """(N, a, A) with q -> zeta_N^a and Q_j -> zeta_N^(A_j) under ``spec_map_for``."""
+    theta = spec_map_for(spec, l)
+    return theta.n, theta.q_image[0], [a_j for a_j, _ in theta.Q_images]
+
+
 def is_semisimple(spec: CycloSpec, l: int, n: int) -> bool:
-    """Whether the specialised algebra is split semisimple."""
-    return not specialise(ariki_poly(l, n), spec_map_for(spec, l)).is_zero()
+    """Whether the specialised algebra is split semisimple.
+
+    Z[zeta_N] has no zero divisors, so the specialised criterion vanishes
+    iff one of its factors does: [i]_q iff a != 0 and a*i = 0 mod N, and
+    q^k Q_s - Q_t iff k*a + A_s = A_t mod N.
+    """
+    N, a, A = _zeta_exponents(spec, l)
+    q_integers, pairs = _criterion_factors(l, n)
+    if a and any(a * i % N == 0 for i in q_integers):
+        return False
+    return all((k * a + A[s] - A[t]) % N for k, s, t in pairs)
+
+
+def theta_p(spec: CycloSpec, l: int, n: int) -> CycloLaurent:
+    """The specialised criterion, specialise(ariki_poly(l, n), spec_map_for(spec, l)).
+
+    Zero unless ``is_semisimple``.  Otherwise the factors' images are
+    multiplied in Z[x]/(x^N - 1), kept sparse as {exponent mod N:
+    coefficient}, and the product is reduced modulo Phi_N once.
+    """
+    N, a, A = _zeta_exponents(spec, l)
+    if not is_semisimple(spec, l, n):
+        return CycloLaurent.zero(N)
+    q_integers, pairs = _criterion_factors(l, n)
+    images = [Counter(a * j % N for j in range(i)) for i in q_integers]
+    images += [{(k * a + A[s]) % N: 1, A[t]: -1} for k, s, t in pairs]  # distinct keys: no pair vanishes
+    acc = {0: 1}
+    for image in images:
+        prod: dict[int, int] = {}
+        for x, c in acc.items():
+            for y, d in image.items():
+                z = (x + y) % N
+                prod[z] = prod.get(z, 0) + c * d
+        acc = {x: c for x, c in prod.items() if c}
+    row = [0] * N
+    for x, c in acc.items():
+        row[x] = c
+    return CycloLaurent(N, {0: CyclotomicInt.from_powers(N, row)})
 
 
 def is_defect_zero(m: Multipartition, e: int, v: tuple[int, ...]) -> bool:

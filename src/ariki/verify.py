@@ -38,6 +38,7 @@ from .combinatorics import (
     partitions_of,
     sigma_action,
 )
+from .errors import InternalError
 from .exactalg import CyclotomicInt, MultiLaurent, SpecMap, cyclotomic_polynomial, exact_divide, specialise
 from .schur import (
     CycloSpec,
@@ -52,6 +53,7 @@ from .schur import (
     schur_mathas,
     spec_map_for,
     spec_map_root_of_unity,
+    theta_p,
 )
 
 _SEED = 20260810
@@ -227,7 +229,8 @@ def verify_avalues(max_l: int = 3, max_n: int = 4, jobs: int = 1):
 def _semisimple_worker(job) -> tuple[int, str | None]:
     spec, l, n = job
     theta = spec_map_for(spec, l)
-    by_criterion = not specialise(ariki_poly(l, n), theta).is_zero()
+    expanded = specialise(ariki_poly(l, n), theta)
+    by_criterion = not expanded.is_zero()
     by_schur = all(
         not specialise(schur_cancellation_free(lam), theta).is_zero()
         for lam in enumerate_multipartitions(l, n)
@@ -239,11 +242,17 @@ def _semisimple_worker(job) -> tuple[int, str | None]:
     q_part_ok = e_prime == 1 or e_prime > n
     all_singletons = all(len(c) == 1 for c in dm_partition(spec, l, n).classes)
     structural = q_part_ok and all_singletons
-    if not (by_criterion == by_schur == structural):
+    # Production reads the criterion per factor; it must agree with all three.
+    by_factors = is_semisimple(spec, l, n)
+    product = theta_p(spec, l, n)
+    where = f"l={l}, n={n}, e={spec.e}, k={spec.k}, r={spec.r}, charges={spec.charges}"
+    if not (by_criterion == by_schur == structural == by_factors):
         return 1, (
-            f"criterion {by_criterion}, Schur scan {by_schur}, structural {structural} for "
-            f"l={l}, n={n}, e={spec.e}, k={spec.k}, r={spec.r}, charges={spec.charges}"
+            f"criterion {by_criterion}, Schur scan {by_schur}, structural {structural}, "
+            f"per factor {by_factors} for {where}"
         )
+    if (product.render(), product.n) != (expanded.render(), expanded.n):
+        return 1, f"thetaP per factor {product.render()} != expanded {expanded.render()} for {where}"
     return 1, None
 
 
@@ -258,7 +267,8 @@ def verify_semisimple(jobs: int = 1):
                 r = rng.randint(1, 3)
                 charges = tuple(rng.randint(-4, 4) for _ in range(l))
                 grid.append((CycloSpec(e, k, r, charges), l, n))
-    assert len(grid) >= 50
+    if len(grid) < 50:
+        raise InternalError(f"semisimple grid has {len(grid)} points, expected at least 50")
     yield from _pmap(_semisimple_worker, grid, jobs)
 
 

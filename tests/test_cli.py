@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import subprocess
@@ -198,6 +199,32 @@ class TestSemisimpleCommand:
             expected = "SEMISIMPLE" if not (2 <= e_prime <= n) and singletons else "NOT SEMISIMPLE"
             verdict = json.loads(proc.stdout)["verdict"] if "--json" in argv else proc.stdout.strip()
             assert verdict == expected, argv
+
+    @pytest.mark.parametrize(
+        "argv, verdict, digest, conductor",
+        [
+            # thetaP is "0": [2]_q maps to 1 + eta^6 = 0.
+            ("--l 3 --n 12 --e 12 --r 6 --charges 3,-1,-2", "NOT SEMISIMPLE", None, 12),
+            # The digests are of thetaP as the expanded criterion renders it.
+            ("--l 3 --n 12 --e 50 --r 1 --charges 0,17,33", "SEMISIMPLE",
+             "746c8e211558413603446b408ce16becab61ccc34e0143ffa031eb5e0e00ff0a", 150),
+            ("--l 3 --n 5 --e 100003 --r 1 --charges 0,17,33", "SEMISIMPLE",
+             "30d335a934ad7c636b2e81b290579196ec8cda10ec14344cd4662562cdc1a7cc", 300009),
+        ],
+    )
+    def test_theta_p_at_large_rank_and_conductor(self, argv, verdict, digest, conductor):
+        # Multiplying the criterion out takes 40 s or more on the first two.
+        proc = subprocess.run(
+            [sys.executable, "-m", "ariki.cli", "semisimple", *argv.split(), "--json"],
+            capture_output=True, text=True, timeout=20,
+        )
+        assert proc.returncode == 0, proc.stderr
+        obj = json.loads(proc.stdout)
+        assert (obj["verdict"], obj["conductor"]) == (verdict, conductor)
+        if digest is None:
+            assert obj["thetaP"] == "0"
+        else:
+            assert hashlib.sha256(obj["thetaP"].encode()).hexdigest() == digest
 
     def test_gcd_constraint_named(self, capsys):
         code, _, err = run_cli(

@@ -1,5 +1,7 @@
+import math
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ariki import exactalg
@@ -33,6 +35,7 @@ from ariki.schur import (
     spec_map_cyclotomic,
     spec_map_for,
     spec_map_root_of_unity,
+    theta_p,
     xst_closed,
     xst_mathas,
 )
@@ -324,17 +327,65 @@ class TestLemmas:
             assert alpha_identity(lam)
 
 
+@st.composite
+def criterion_cases(draw):
+    """(spec, l, n, forced): composite and prime e, some with e' = 1, and
+    with forced set, charges solved so that q^k Q_s - Q_t maps to zero."""
+    l, n = draw(st.sampled_from([(l, n) for l in (1, 2, 3) for n in range(1, 5)] + [(1, 5), (1, 6), (2, 5), (2, 6)]))
+    e = draw(st.sampled_from((2, 3, 4, 6, 8, 12, 5, 7, 101)))
+    k = draw(st.sampled_from([k for k in range(1, e) if math.gcd(k, e) == 1]))
+    r = draw(st.one_of(st.integers(1, 12), st.integers(1, 3).map(lambda m: m * e)))
+    charges = draw(st.lists(st.integers(-6, 6), min_size=l, max_size=l))
+    # Under spec_map_for, q^kk Q_s - Q_t vanishes iff
+    # k (kk r + r_s - r_t) = (e/l)(t - s) mod e, solvable for r_t when l | e.
+    forced = l > 1 and e % l == 0 and draw(st.booleans())
+    if forced:
+        s, t = draw(st.sampled_from([(s, t) for s in range(l) for t in range(s + 1, l)]))
+        kk = draw(st.integers(-n + 1, n - 1))
+        charges[t] = (kk * r + charges[s] - pow(k, -1, e) * (e // l) * (t - s)) % e
+    return CycloSpec(e, k, r, tuple(charges)), l, n, forced
+
+
 class TestSemisimplicity:
     def test_poly_examples(self):
         assert render(ariki_poly(1, 2)) == "q + 1"
         assert render(ariki_poly(2, 1)) == "Q0 - Q1"
         assert render(ariki_poly(1, 1)) == "1"
 
+    @given(criterion_cases())
+    @example((CycloSpec(5, 1, 1, (0,)), 1, 1, False))
+    @example((CycloSpec(12, 1, 6, (3, -1, -2)), 3, 2, False))
+    @settings(max_examples=300, deadline=None)
+    def test_per_factor_matches_expanded_criterion(self, case):
+        spec, l, n, forced = case
+        expanded = specialise(ariki_poly(l, n), spec_map_for(spec, l))
+        value = theta_p(spec, l, n)
+        assert is_semisimple(spec, l, n) == (not expanded.is_zero())
+        assert (value.render(), value.n) == (expanded.render(), expanded.n)
+        if forced:
+            assert not is_semisimple(spec, l, n) and value.render() == "0"
+
+    def test_theta_p_examples(self):
+        # l = 1, n = 1 has no factor at all; with e' = 1, q maps to 1 and [i]_q to i.
+        value = theta_p(CycloSpec(5, 1, 1, (0,)), 1, 1)
+        assert (value.render(), value.n) == ("(1)", 5)
+        assert theta_p(CycloSpec(4, 1, 4, (0,)), 1, 3).render() == "(6)"
+
+    def test_invalid_rank(self):
+        with pytest.raises(DomainError):
+            is_semisimple(CycloSpec(5, 1, 1, (0,)), 1, 0)
+
     def test_verdicts(self, schur_scan):
         cases = (
             (CycloSpec(2, 1, 1, (0,)), 1, 2, False),
             (CycloSpec(5, 1, 1, (0,)), 1, 2, True),
             (CycloSpec(12, 1, 6, (3, -1, -2)), 3, 2, False),
+            # e' = 3: [3]_q vanishes at n = 3, though q does not map to 1.
+            (CycloSpec(6, 1, 2, (0,)), 1, 2, True),
+            (CycloSpec(6, 1, 2, (0,)), 1, 3, False),
+            # q Q_0 - Q_1 maps to i - i = 0 once n = 2 lets k reach 1; e' = 4 > n.
+            (CycloSpec(4, 1, 1, (0, -1)), 2, 1, True),
+            (CycloSpec(4, 1, 1, (0, -1)), 2, 2, False),
         )
         for spec, l, n, expected in cases:
             assert is_semisimple(spec, l, n) == expected == schur_scan(spec, l, n)
