@@ -16,6 +16,11 @@ The crystal convention is pinned once and for all here:
   component index;
 * adjacent addable-before-removable pairs cancel repeatedly;
 * the good node is the earliest surviving addable one.
+
+One walk down the rims of a vertex reads the good node of every residue
+at once (`_good_nodes`); the breadth-first search follows each arrow it
+returns, and `f_tilde` is a lookup into the same reading.  The convention
+above is unchanged by this.
 """
 
 from __future__ import annotations
@@ -180,62 +185,63 @@ def charge_for(dm: DMPartition, class_index: int, spec: CycloSpec) -> UglovCharg
 # Fock-space crystal
 
 
-def _addable_nodes(p: Partition):
-    parts = p.parts
-    if not parts:
-        yield (1, 1)
-        return
-    yield (1, parts[0] + 1)
-    for i in range(2, len(parts) + 1):
-        if parts[i - 2] > parts[i - 1]:
-            yield (i, parts[i - 1] + 1)
-    yield (len(parts) + 1, 1)
+def _good_nodes(comps: tuple[tuple[int, ...], ...], s: tuple[int, ...], ep: int) -> dict[int, tuple[int, int]]:
+    """The good addable node of every residue that has one: {t: (component, row)}.
+
+    `comps` holds the parts of each component.  One walk down each rim
+    buckets the addable and removable nodes by residue; a residue with no
+    addable node has no good node and is never sorted.
+    """
+    addable: dict[int, list] = {}
+    removable: dict[int, list] = {}
+    for c, (parts, sc) in enumerate(zip(comps, s)):
+        for i, p in enumerate(parts):
+            # Row i + 1 ends in column p: an addable node at column p + 1
+            # unless the row above is as short, a removable one at column p
+            # unless the row below is as long.
+            if i == 0 or parts[i - 1] > p:
+                g = p - i + sc
+                addable.setdefault(g % ep, []).append((-g, c, 0, i + 1))
+            if i + 1 == len(parts) or parts[i + 1] < p:
+                g = p - i - 1 + sc
+                removable.setdefault(g % ep, []).append((-g, c, 1, i + 1))
+        g = sc - len(parts)
+        addable.setdefault(g % ep, []).append((-g, c, 0, len(parts) + 1))
+    good = {}
+    for t, word in addable.items():
+        # Strictly decreasing gamma, ties by increasing component; no two
+        # nodes share (gamma, component), so plain tuple order is that order.
+        word.extend(removable.get(t, ()))
+        word.sort()
+        stack = []
+        for entry in word:
+            if entry[2] == 0:
+                stack.append(entry)
+            elif stack:
+                stack.pop()
+        if stack:
+            good[t] = (stack[0][1], stack[0][3])
+    return good
 
 
-def _removable_nodes(p: Partition):
-    parts = p.parts
-    for i in range(1, len(parts) + 1):
-        if parts[i - 1] > (parts[i] if i < len(parts) else 0):
-            yield (i, parts[i - 1])
-
-
-def _add_node(m: Multipartition, comp: int, row: int) -> Multipartition:
-    parts = list(m.components[comp].parts)
+def _add_node(comps: tuple[tuple[int, ...], ...], c: int, row: int) -> tuple[tuple[int, ...], ...]:
+    parts = comps[c]
     if row == len(parts) + 1:
-        parts.append(1)
+        parts = parts + (1,)
     else:
-        parts[row - 1] += 1
-    comps = list(m.components)
-    comps[comp] = Partition(tuple(parts))
-    return Multipartition(tuple(comps))
+        parts = parts[: row - 1] + (parts[row - 1] + 1,) + parts[row:]
+    return comps[:c] + (parts,) + comps[c + 1 :]
 
 
 def f_tilde(m: Multipartition, t: int, charge: UglovCharge) -> Multipartition | None:
-    """Add the good node of residue t, or return None when there is none."""
-    ep = charge.e_prime
+    """Add the good node of residue t (read mod e'), or return None when there is none."""
     if m.level != len(charge.s):
         raise DomainError(f"charge has {len(charge.s)} entries for level {m.level}")
-    word = []  # (gamma, component, kind 0=addable 1=removable, row)
-    for c, (comp, sc) in enumerate(zip(m.components, charge.s)):
-        for (i, j) in _addable_nodes(comp):
-            g = j - i + sc
-            if (g - t) % ep == 0:
-                word.append((g, c, 0, i))
-        for (i, j) in _removable_nodes(comp):
-            g = j - i + sc
-            if (g - t) % ep == 0:
-                word.append((g, c, 1, i))
-    word.sort(key=lambda x: (-x[0], x[1]))
-    stack: list[tuple[int, int, int, int]] = []
-    for entry in word:
-        if entry[2] == 0:
-            stack.append(entry)
-        elif stack:
-            stack.pop()
-    if not stack:
+    comps = tuple(c.parts for c in m.components)
+    node = _good_nodes(comps, charge.s, charge.e_prime).get(t % charge.e_prime)
+    if node is None:
         return None
-    _, c, _, row = stack[0]
-    return _add_node(m, c, row)
+    return Multipartition(tuple(Partition(p) for p in _add_node(comps, *node)))
 
 
 def uglov_levels(lc: int, n_max: int, charge: UglovCharge) -> list[tuple[Multipartition, ...]]:
@@ -261,19 +267,21 @@ def uglov_levels(lc: int, n_max: int, charge: UglovCharge) -> list[tuple[Multipa
             "quantum characteristic 1 with a level >= 2 class: "
             "the component algebra is not semisimple and no crystal applies"
         )
+    s, ep = charge.s, charge.e_prime
     levels = [(empty,)]
-    frontier = {empty}
-    for _ in range(n_max):
-        nxt: set[Multipartition] = set()
-        for x in frontier:
-            for t in range(charge.e_prime):
-                y = f_tilde(x, t, charge)
-                if y is not None:
-                    if y.rank != x.rank + 1:
-                        raise InternalError(f"f_{t} changed the rank from {x.rank} to {y.rank}")
-                    nxt.add(y)
-        frontier = nxt
-        levels.append(tuple(sorted(frontier, key=canonical_key)))
+    # The frontier holds bare part tuples; each layer is validated as
+    # Partitions and Multipartitions once, when it is emitted.
+    frontier = {((),) * lc}
+    for rank in range(1, n_max + 1):
+        frontier = {
+            _add_node(x, c, row) for x in frontier for c, row in _good_nodes(x, s, ep).values()
+        }
+        layer = [Multipartition(tuple(Partition(p) for p in x)) for x in frontier]
+        for y in layer:
+            if y.rank != rank:
+                raise InternalError(f"a crystal arrow reached rank {y.rank} in layer {rank}")
+        layer.sort(key=canonical_key)
+        levels.append(tuple(layer))
     return levels
 
 

@@ -46,6 +46,10 @@ class FlagError(Exception):
     """A structurally invalid flag combination (exit code 2)."""
 
 
+# Building the gim factors takes time quadratic in L, and no value depends on L.
+MAX_SYMBOL_SIZE = 1000
+
+
 def _lambda_arg(text: str) -> Multipartition:
     try:
         obj = json.loads(text)
@@ -155,6 +159,11 @@ def _print_routes(values: dict[str, str], as_json: bool) -> int:
 def _cmd_schur(args) -> int:
     lam = args.lam
     L = args.symbol_size
+    if L is not None and L > MAX_SYMBOL_SIZE:
+        raise FlagError(
+            f"--symbol-size {L} is above the cap of {MAX_SYMBOL_SIZE}; "
+            "the Schur element does not depend on L"
+        )
     if args.formula == "all":
         values = schur_all(lam, L)
     elif args.formula == "cancel":

@@ -1,9 +1,11 @@
+import ast
 import hashlib
 import json
 import math
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -73,6 +75,13 @@ class TestSchurCommand:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "AGREE"
+
+    def test_symbol_size_above_the_cap_is_a_flag_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "schur", "--lambda", "[[2],[]]", "--formula", "all", "--symbol-size", "1001"
+        )
+        assert code == 2 and out == ""
+        assert "cap of 1000" in err and "does not depend on L" in err
 
     def test_all_expands_and_renders_once(self, capsys, monkeypatch):
         calls, renders = [], []
@@ -382,6 +391,25 @@ class TestBasicSetCommands:
         )
         assert code == 1 and "n > 2" in err
 
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            ("--l=1 --n=28 --e=8 --k=5 --r=1 --charges=1",
+             "ade2c56b62417fce20c9f1d69c5a804b81488ca70258319e7a09ccc29389dac1"),
+            ("--l=2 --n=13 --e=8 --k=5 --r=3 --charges=1,0",
+             "19c52825476bfb99cea7ee41d4efbc29eb297ef4fba11a083dfe051cdee74484"),
+        ],
+    )
+    def test_large_basic_sets_are_pinned(self, argv, digest):
+        # The digests were taken from the per-residue crystal scan that the
+        # one-pass good-node reading replaced.
+        proc = subprocess.run(
+            [sys.executable, "-m", "ariki.cli", "basicset", *argv.split(), "--json"],
+            capture_output=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert hashlib.sha256(proc.stdout).hexdigest() == digest
+
 
 class TestVerifyCommand:
     def test_single_suite(self, capsys):
@@ -502,6 +530,17 @@ class TestDeterminism:
             )
             assert plain.stdout == optimized.stdout and plain.stdout, argv
             assert plain.returncode == optimized.returncode == 0, argv
+
+    def test_no_assert_in_the_library(self):
+        # Integrity checks must survive python -O, so they raise instead.
+        src = Path(__file__).resolve().parents[1] / "src" / "ariki"
+        found = [
+            f"{path.name}:{node.lineno}"
+            for path in sorted(src.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if isinstance(node, ast.Assert)
+        ]
+        assert found == []
 
     def test_broken_invariants_are_internal_errors_with_asserts_stripped(self):
         # Forged coincidences must stop the run, also under python -O, with
