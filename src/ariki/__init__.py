@@ -25,6 +25,7 @@ from .combinatorics import (
     n_function,
     orbit_and_stabilizer,
     rebar,
+    scaled_kappa,
     shifted_symbol,
     sigma_action,
 )

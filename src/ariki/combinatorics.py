@@ -3,12 +3,21 @@
 Partitions, l-tuples of partitions, generalised hook lengths, shifted
 symbols and their kappa sequences, the two combinatorial a-value formulas,
 dominance orders, and the cyclic component-rotation action used for
-G(l,p,n).  Everything is exact: integers and fractions.Fraction only.
+G(l,p,n).  Everything is exact.
+
+Every symbol entry is an integer plus c_j / r, so the symbol layer works in
+ints scaled by r: ``_scaled_rows`` builds r times each row, and kappa,
+both a-value formulas and dominance compute with ints only.
+fractions.Fraction appears at the edges: ``shifted_symbol`` and ``kappa``
+are Fraction views of the scaled rows, the a-values are returned as
+Fractions, and dominance accepts Fraction sequences, which it scales to
+ints over the lcm of their denominators.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -235,59 +244,94 @@ def min_symbol_size(m: Multipartition, charge: ChargeData) -> int:
     if charge.level != m.level:
         raise DomainError(f"charge level {charge.level} != multipartition level {m.level}")
     s = m.length + 1
-    for c, mj in zip(m.components, charge.m):
-        f = math.floor(mj)
-        s = max(s, c.length - f, 1 - f)
+    for comp, c in zip(m.components, charge.charges):
+        f = c // charge.r
+        s = max(s, comp.length - f, 1 - f)
     return s
 
 
-def shifted_symbol(m: Multipartition, charge: ChargeData, size: int | None = None) -> ShiftedSymbol:
+def _scaled_rows(m: Multipartition, charge: ChargeData, size: int) -> list[tuple[int, ...]]:
+    """The shifted symbol times r: rows r*(lambda_i - i + size) + c_j, as ints."""
     if charge.level != m.level:
         raise DomainError(f"charge level {charge.level} != multipartition level {m.level}")
-    if size is None:
-        size = min_symbol_size(m, charge)
     if size < 1:
         raise DomainError("symbol size must be >= 1")
+    r = charge.r
     rows = []
-    for c, mj in zip(m.components, charge.m):
-        width = size + math.floor(mj)
-        if width < c.length or width < 0:
+    for comp, c in zip(m.components, charge.charges):
+        width = size + c // r
+        if width < comp.length:
             raise DomainError(
-                f"symbol size {size} leaves a row of width {width} for a component of length {c.length}"
+                f"symbol size {size} leaves a row of width {width} for a component of length {comp.length}"
             )
-        rows.append(tuple(Fraction(c.part(i) - i + size) + mj for i in range(1, width + 1)))
-    return ShiftedSymbol(size, tuple(rows))
+        # Entry i is top - r*i plus r*lambda_i; past the last part, a range.
+        top = r * size + c
+        row = (
+            *(top + r * (p - i) for i, p in enumerate(comp.parts, start=1)),
+            *range(top - r * (comp.length + 1), top - r * (width + 1), -r),
+        )
+        # Rows decrease strictly, so the last entry is the smallest.
+        if row and row[-1] < 0:
+            raise DomainError(f"negative symbol entry {Fraction(row[-1], r)}; size {size} is too small")
+        rows.append(row)
+    return rows
+
+
+def _weighted_sum(entries: Sequence[int]) -> int:
+    """sum over i of (i-1) * entries[i], 1-based."""
+    return sum(i * v for i, v in enumerate(entries))
+
+
+def shifted_symbol(m: Multipartition, charge: ChargeData, size: int | None = None) -> ShiftedSymbol:
+    if size is None:
+        size = min_symbol_size(m, charge)
+    rows = _scaled_rows(m, charge, size)
+    return ShiftedSymbol(size, tuple(tuple(Fraction(v, charge.r) for v in row) for row in rows))
+
+
+def scaled_kappa(m: Multipartition, charge: ChargeData, size: int | None = None) -> tuple[int, ...]:
+    """r times the kappa entries, as ints in weakly decreasing order."""
+    if size is None:
+        size = min_symbol_size(m, charge)
+    return tuple(sorted((v for row in _scaled_rows(m, charge, size) for v in row), reverse=True))
 
 
 def kappa(m: Multipartition, charge: ChargeData, size: int | None = None) -> KappaSequence:
-    sym = shifted_symbol(m, charge, size)
-    entries = sorted((v for row in sym.rows for v in row), reverse=True)
-    return KappaSequence.from_entries(entries)
+    entries = scaled_kappa(m, charge, size)
+    r = charge.r
+    return KappaSequence(tuple(Fraction(v, r) for v in entries), Fraction(_weighted_sum(entries), r))
 
 
 def a_value_combinatorial(m: Multipartition, charge: ChargeData) -> Fraction:
-    """r * (n_m(lambda) - n_m(empty)), at a common symbol size for both."""
-    size = min_symbol_size(m, charge)
+    """r * (n_m(lambda) - n_m(empty)), at a common symbol size for both.
+
+    r * n_m is the weighted sum of the entries scaled by r, so this is exact
+    in ints.
+    """
     empty = Multipartition((EMPTY,) * m.level)
-    size = max(size, min_symbol_size(empty, charge))
-    return charge.r * (kappa(m, charge, size).n_m - kappa(empty, charge, size).n_m)
+    size = max(min_symbol_size(m, charge), min_symbol_size(empty, charge))
+    lam, nil = scaled_kappa(m, charge, size), scaled_kappa(empty, charge, size)
+    return Fraction(_weighted_sum(lam) - _weighted_sum(nil))
 
 
 def a_value_hook_formula(m: Multipartition, charge: ChargeData) -> Fraction:
-    """r * (n(merged parts) - sum over cross pairs of min(hook + m_s - m_t, 0))."""
+    """r * (n(merged parts) - sum over cross pairs of min(hook + m_s - m_t, 0)).
+
+    Summed in ints as r * hook + c_s - c_t.
+    """
     if charge.level != m.level:
         raise DomainError(f"charge level {charge.level} != multipartition level {m.level}")
-    ms = charge.m
-    total = Fraction(n_function(rebar(m)))
+    r, cs = charge.r, charge.charges
+    total = r * n_function(rebar(m))
     for s, comp in enumerate(m.components):
         for (i, j) in comp.nodes():
             for t, other in enumerate(m.components):
                 if t == s:
                     continue
-                h = gen_hook_length(comp, other, i, j) + ms[s] - ms[t]
+                h = r * gen_hook_length(comp, other, i, j) + cs[s] - cs[t]
                 if h < 0:
                     total -= h
-    return charge.r * total
+    return Fraction(total)
 
 
 # ---------------------------------------------------------------------------
@@ -300,10 +344,22 @@ class Dominance(enum.Enum):
     INCOMPARABLE = "incomparable"
 
 
-def _as_entries(x) -> tuple[Fraction, ...]:
-    if isinstance(x, KappaSequence):
-        return x.entries
-    return tuple(Fraction(v) for v in x)
+def _int_sequences(x, y) -> list[Sequence[int]]:
+    """x and y as ints over one common denominator.
+
+    Dominance is invariant under positive scaling.  Tuples and lists of ints
+    come back as they are, so a caller that converts its sequences once
+    allocates nothing per comparison.
+    """
+    seqs = [
+        v.entries if isinstance(v, KappaSequence) else v if isinstance(v, (tuple, list)) else tuple(v)
+        for v in (x, y)
+    ]
+    if all(type(v) is int for seq in seqs for v in seq):
+        return seqs
+    seqs = [[Fraction(v) for v in seq] for seq in seqs]
+    d = math.lcm(*(v.denominator for seq in seqs for v in seq))
+    return [[v.numerator * (d // v.denominator) for v in seq] for seq in seqs]
 
 
 def dominates(x, y) -> Dominance:
@@ -312,33 +368,28 @@ def dominates(x, y) -> Dominance:
     STRICT means x != y with every partial sum of x >= that of y; EQUAL
     means identical sequences; INCOMPARABLE covers everything else.
     """
-    xs, ys = _as_entries(x), _as_entries(y)
-    width = max(len(xs), len(ys))
-    xs = xs + (Fraction(0),) * (width - len(xs))
-    ys = ys + (Fraction(0),) * (width - len(ys))
+    xs, ys = _int_sequences(x, y)
     if sum(xs) != sum(ys):
         raise DomainError("dominance is only defined for sequences with equal totals")
-    if xs == ys:
-        return Dominance.EQUAL
-    run_x = run_y = Fraction(0)
-    for a, b in zip(xs, ys):
-        run_x += a
-        run_y += b
-        if run_x < run_y:
+    run = 0
+    differ = False
+    for a, b in itertools.zip_longest(xs, ys, fillvalue=0):
+        run += a - b
+        if run < 0:
             return Dominance.INCOMPARABLE
-    return Dominance.STRICT
+        differ = differ or a != b
+    return Dominance.STRICT if differ else Dominance.EQUAL
 
 
 def multiset_dominates(x: Iterable, y: Iterable) -> bool:
     """Dominance (>= in every partial sum) of the decreasingly sorted multisets."""
-    xs = sorted((Fraction(v) for v in x), reverse=True)
-    ys = sorted((Fraction(v) for v in y), reverse=True)
+    xs, ys = _int_sequences(x, y)
     if len(xs) != len(ys):
         raise DomainError("multiset dominance needs equal cardinalities")
     if sum(xs) != sum(ys):
         raise DomainError("multiset dominance needs equal sums")
-    run = Fraction(0)
-    for a, b in zip(xs, ys):
+    run = 0
+    for a, b in zip(sorted(xs, reverse=True), sorted(ys, reverse=True)):
         run += a - b
         if run < 0:
             return False

@@ -36,6 +36,7 @@ from .combinatorics import (
     multipartition_to_json,
     multiset_dominates,
     partitions_of,
+    scaled_kappa,
     sigma_action,
 )
 from .errors import InternalError
@@ -314,7 +315,7 @@ def verify_defect0(max_l: int = 3, max_n: int = 4, jobs: int = 1):
 def _dominance_worker(job) -> tuple[int, str | None]:
     charge, lams = job
     size = max(min_symbol_size(lam, charge) for lam in lams)
-    kappas = [kappa(lam, charge, size) for lam in lams]
+    kappas = [scaled_kappa(lam, charge, size) for lam in lams]
     avals = [a_value_combinatorial(lam, charge) for lam in lams]
     checks = 0
     for i, ki in enumerate(kappas):
@@ -331,22 +332,26 @@ def _dominance_worker(job) -> tuple[int, str | None]:
     return checks, None
 
 
+_CONCAT_DENOM = 6
+
+
 def _concat_instance(rng: random.Random):
     # Pairs mu^i >= nu^i in the dominance order, built by mass transfers
     # toward larger entries and then filtered so the hypothesis of the
     # concatenation lemma really holds (checked with raw partial sums).
+    # Entries are ints standing for x / _CONCAT_DENOM.
     h = rng.randint(1, 3)
     mus, nus = [], []
     for _ in range(h):
         width = rng.randint(1, 5)
-        denom = rng.choice([1, 2, 3, 6])
-        nu = sorted((Fraction(rng.randint(1, 12), denom) for _ in range(width)), reverse=True)
+        unit = _CONCAT_DENOM // rng.choice([1, 2, 3, 6])
+        nu = sorted((rng.randint(1, 12) * unit for _ in range(width)), reverse=True)
         mu = list(nu)
         for _ in range(rng.randint(0, 4)):
             if width < 2:
                 break
             i, j = sorted(rng.sample(range(width), 2))
-            shift = Fraction(rng.randint(0, 3), denom)
+            shift = rng.randint(0, 3) * unit
             mu[i] += shift
             mu[j] -= shift
         mu.sort(reverse=True)
@@ -355,6 +360,10 @@ def _concat_instance(rng: random.Random):
         mus.append(mu)
         nus.append(nu)
     return mus, nus
+
+
+def _concat_label(chunks) -> list[list[Fraction]]:
+    return [[Fraction(x, _CONCAT_DENOM) for x in chunk] for chunk in chunks]
 
 
 def _brute_dominates(xs, ys) -> bool:
@@ -379,9 +388,9 @@ def verify_dominance(max_l: int = 3, max_n: int = 4, jobs: int = 1):
         flat_mu = [x for chunk in mus for x in chunk]
         flat_nu = [x for chunk in nus for x in chunk]
         if not multiset_dominates(flat_mu, flat_nu) or not _brute_dominates(flat_mu, flat_nu):
-            yield 1, f"concatenation dominance fails for {mus} vs {nus}"
+            yield 1, f"concatenation dominance fails for {_concat_label(mus)} vs {_concat_label(nus)}"
         elif sorted(flat_mu) == sorted(flat_nu) and any(sorted(a) != sorted(b) for a, b in zip(mus, nus)):
-            yield 1, f"concatenations equal with unequal components: {mus} vs {nus}"
+            yield 1, f"concatenations equal with unequal components: {_concat_label(mus)} vs {_concat_label(nus)}"
         else:
             yield 1, None
 

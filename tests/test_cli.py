@@ -490,6 +490,55 @@ class TestVerifyCommand:
         assert code == 1
         assert out == f"examples: FAIL (21 checks) first counterexample: {failure}\n"
 
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            ("--suite dominance --max-l 1 --max-n 4", "dominance: PASS (1084 checks)"),
+            ("--suite dominance --max-l 2 --max-n 2", "dominance: PASS (1072 checks)"),
+            ("--suite avalues --max-l 2 --max-n 2", "avalues: PASS (350 checks)"),
+        ],
+    )
+    def test_symbol_suites_are_pinned(self, capsys, argv, line):
+        # The counts were taken from the Fraction-valued symbol code.
+        for jobs in ("1", "2"):
+            code, out, _ = run_cli(capsys, "verify", *argv.split(), "--jobs", jobs)
+            assert code == 0 and out == line + "\n", jobs
+
+    def test_dominance_suite_sees_a_flat_a_value(self, capsys, monkeypatch):
+        import ariki.verify as verify
+
+        monkeypatch.setattr(verify, "a_value_combinatorial", lambda lam, charge: 0)
+        code, out, _ = run_cli(capsys, "verify", "--suite", "dominance", "--max-l", "1", "--max-n", "2", "--jobs", "1")
+        assert code == 1
+        assert out == (
+            "dominance: FAIL (1003 checks) first counterexample: kappa dominance without a-value drop: "
+            "[[2]] vs [[1,1]], charges=(-3,), r=2\n"
+        )
+
+    @pytest.mark.parametrize(
+        "honest_calls, shown",
+        [
+            (0, "[[Fraction(13, 1), Fraction(8, 1)]] vs [[Fraction(11, 1), Fraction(10, 1)]]"),
+            (
+                4,
+                "[[Fraction(7, 3), Fraction(1, 3)], [Fraction(12, 1), Fraction(5, 1), Fraction(4, 1), Fraction(1, 1)]]"
+                " vs [[Fraction(11, 6), Fraction(5, 6)], [Fraction(12, 1), Fraction(5, 1), Fraction(4, 1), Fraction(1, 1)]]",
+            ),
+        ],
+    )
+    def test_concatenation_failure_prints_fractions(self, capsys, monkeypatch, honest_calls, shown):
+        # The instances are drawn as ints over 6; the message shows the
+        # Fractions they stand for, as the Fraction-valued draw printed them.
+        import itertools
+
+        import ariki.verify as verify
+
+        calls = itertools.count()
+        monkeypatch.setattr(verify, "multiset_dominates", lambda x, y: next(calls) < honest_calls)
+        code, out, _ = run_cli(capsys, "verify", "--suite", "dominance", "--max-l", "1", "--max-n", "1", "--jobs", "1")
+        assert code == 1
+        assert out == f"dominance: FAIL (1000 checks) first counterexample: concatenation dominance fails for {shown}\n"
+
     def test_each_suite_gets_the_scopes_it_takes(self, capsys):
         from ariki.verify import verify_formulas, verify_lemmas, verify_semisimple
 

@@ -1,15 +1,20 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ariki.combinatorics as combinatorics
 from ariki.combinatorics import (
+    EMPTY,
     ChargeData,
     Dominance,
+    KappaSequence,
     Multipartition,
     Partition,
+    ShiftedSymbol,
     a_value_combinatorial,
     a_value_hook_formula,
     canonical_key,
@@ -28,6 +33,7 @@ from ariki.combinatorics import (
     orbit_and_stabilizer,
     partitions_of,
     rebar,
+    scaled_kappa,
     shifted_symbol,
     sigma_action,
 )
@@ -251,6 +257,212 @@ class TestDominance:
         flat_x = [v for xs, _ in pairs for v in xs]
         flat_y = [v for _, ys in pairs for v in ys]
         assert multiset_dominates(flat_x, flat_y)
+
+
+# ---------------------------------------------------------------------------
+# The Fraction-valued symbol code that the scaled-integer kernel replaced,
+# kept as a reference.
+
+
+def _ref_min_symbol_size(m, charge):
+    s = m.length + 1
+    for c, mj in zip(m.components, charge.m):
+        f = math.floor(mj)
+        s = max(s, c.length - f, 1 - f)
+    return s
+
+
+def _ref_symbol_rows(m, charge, size):
+    if size < 1:
+        raise DomainError("symbol size must be >= 1")
+    rows = []
+    for c, mj in zip(m.components, charge.m):
+        width = size + math.floor(mj)
+        if width < c.length or width < 0:
+            raise DomainError(
+                f"symbol size {size} leaves a row of width {width} for a component of length {c.length}"
+            )
+        rows.append(tuple(Fraction(c.part(i) - i + size) + mj for i in range(1, width + 1)))
+    for row in rows:
+        for v in row:
+            if v < 0:
+                raise DomainError(f"negative symbol entry {v}; size {size} is too small")
+    return tuple(rows)
+
+
+def _ref_kappa(m, charge, size):
+    entries = sorted((v for row in _ref_symbol_rows(m, charge, size) for v in row), reverse=True)
+    return tuple(entries), sum(((i - 1) * v for i, v in enumerate(entries, start=1)), Fraction(0))
+
+
+def _ref_a_value_combinatorial(m, charge):
+    empty = Multipartition((EMPTY,) * m.level)
+    size = max(_ref_min_symbol_size(m, charge), _ref_min_symbol_size(empty, charge))
+    return charge.r * (_ref_kappa(m, charge, size)[1] - _ref_kappa(empty, charge, size)[1])
+
+
+def _ref_a_value_hook_formula(m, charge):
+    ms = charge.m
+    total = Fraction(n_function(rebar(m)))
+    for s, comp in enumerate(m.components):
+        for (i, j) in comp.nodes():
+            for t, other in enumerate(m.components):
+                if t != s:
+                    h = gen_hook_length(comp, other, i, j) + ms[s] - ms[t]
+                    if h < 0:
+                        total -= h
+    return charge.r * total
+
+
+def _ref_entries(x):
+    return x.entries if isinstance(x, KappaSequence) else tuple(Fraction(v) for v in x)
+
+
+def _ref_dominates(x, y):
+    xs, ys = _ref_entries(x), _ref_entries(y)
+    width = max(len(xs), len(ys))
+    xs = xs + (Fraction(0),) * (width - len(xs))
+    ys = ys + (Fraction(0),) * (width - len(ys))
+    if sum(xs) != sum(ys):
+        raise DomainError("dominance is only defined for sequences with equal totals")
+    if xs == ys:
+        return Dominance.EQUAL
+    run_x = run_y = Fraction(0)
+    for a, b in zip(xs, ys):
+        run_x += a
+        run_y += b
+        if run_x < run_y:
+            return Dominance.INCOMPARABLE
+    return Dominance.STRICT
+
+
+def _ref_multiset_dominates(x, y):
+    xs = sorted((Fraction(v) for v in x), reverse=True)
+    ys = sorted((Fraction(v) for v in y), reverse=True)
+    if len(xs) != len(ys):
+        raise DomainError("multiset dominance needs equal cardinalities")
+    if sum(xs) != sum(ys):
+        raise DomainError("multiset dominance needs equal sums")
+    run = Fraction(0)
+    for a, b in zip(xs, ys):
+        run += a - b
+        if run < 0:
+            return False
+    return True
+
+
+def _outcome(fn, *args):
+    """The value fn returns, or the text of the DomainError it raises."""
+    try:
+        return "value", fn(*args)
+    except DomainError as exc:
+        return "error", str(exc)
+
+
+@st.composite
+def charged_multipartitions(draw):
+    l = draw(st.integers(1, 3))
+    lam = draw(st.sampled_from(enumerate_multipartitions(l, draw(st.integers(0, 5)))))
+    charges = draw(st.lists(st.integers(-6, 6), min_size=l, max_size=l))
+    return lam, ChargeData(draw(st.integers(1, 6)), tuple(charges))
+
+
+entries = st.one_of(
+    st.lists(st.integers(-6, 12), max_size=6),
+    st.lists(st.fractions(min_value=-6, max_value=12, max_denominator=12), max_size=6),
+)
+
+
+@st.composite
+def sequence_pairs(draw):
+    """x and a y that is often a rearrangement of x with mass moved about."""
+    x = draw(entries)
+    if not x or draw(st.booleans()):
+        return x, draw(entries)
+    y = list(x)
+    if draw(st.booleans()):
+        y = draw(st.permutations(y))
+    for i, j, t in draw(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(-3, 3)), max_size=4)):
+        y[i % len(y)] += t
+        y[j % len(y)] -= t
+    return x, y + [0] * draw(st.integers(0, 2))
+
+
+class TestScaledIntegerKernel:
+    @given(charged_multipartitions(), st.integers(-1, 3))
+    @settings(max_examples=300, deadline=None)
+    def test_symbols_and_a_values_match_fractions(self, case, offset):
+        lam, charge = case
+        base = min_symbol_size(lam, charge)
+        assert base == _ref_min_symbol_size(lam, charge)
+        assert a_value_combinatorial(lam, charge) == _ref_a_value_combinatorial(lam, charge)
+        assert a_value_hook_formula(lam, charge) == _ref_a_value_hook_formula(lam, charge)
+        assert type(a_value_combinatorial(lam, charge)) is type(a_value_hook_formula(lam, charge)) is Fraction
+        # Sizes below the minimum either build the same symbol or fail alike.
+        for size in (base + offset, base - 1 - offset):
+            ref = _outcome(_ref_symbol_rows, lam, charge, size)
+            got = _outcome(shifted_symbol, lam, charge, size)
+            assert got[0] == ref[0]
+            if ref[0] == "error":
+                assert got[1] == ref[1] == _outcome(kappa, lam, charge, size)[1]
+                continue
+            assert got[1] == ShiftedSymbol(size, ref[1])
+            ks = kappa(lam, charge, size)
+            assert (ks.entries, ks.n_m) == _ref_kappa(lam, charge, size)
+            assert scaled_kappa(lam, charge, size) == tuple(v * charge.r for v in ks.entries)
+
+    @given(sequence_pairs())
+    @settings(max_examples=400, deadline=None)
+    def test_dominance_matches_fractions(self, pair):
+        x, y = pair
+        for a, b in ((x, y), (tuple(x), tuple(y)), (iter(x), iter(y))):
+            assert _outcome(dominates, a, b) == _outcome(_ref_dominates, x, y)
+        expected = _outcome(_ref_multiset_dominates, x, y)
+        assert _outcome(multiset_dominates, x, y) == expected
+        assert _outcome(multiset_dominates, (v for v in x), tuple(y)) == expected
+
+    def test_domain_errors_keep_their_text(self):
+        cases = [
+            (shifted_symbol, (mp([1, 1, 1], []), ChargeData(1, (0, 0)), 2),
+             "symbol size 2 leaves a row of width 2 for a component of length 3"),
+            (kappa, (mp([1], [1]), ChargeData(6, (3, -13)), 2),
+             "symbol size 2 leaves a row of width -1 for a component of length 1"),
+            (kappa, (mp([1]), ChargeData(1, (0,)), 0), "symbol size must be >= 1"),
+            (ShiftedSymbol, (1, ((Fraction(1), Fraction(-1, 2)),)), "negative symbol entry -1/2; size 1 is too small"),
+            (dominates, ((2, 1), (1, 1)), "dominance is only defined for sequences with equal totals"),
+            (dominates, ((Fraction(1, 2),), (1,)), "dominance is only defined for sequences with equal totals"),
+            (multiset_dominates, ([1, 2], [3]), "multiset dominance needs equal cardinalities"),
+            (multiset_dominates, ([1, 2], [1, 1]), "multiset dominance needs equal sums"),
+        ]
+        for fn, args, text in cases:
+            with pytest.raises(DomainError) as exc:
+                fn(*args)
+            assert str(exc.value) == text
+
+    def test_no_fraction_arithmetic_in_the_hot_loops(self, monkeypatch):
+        # A count, not a wall time: each a-value builds its one return value,
+        # and dominance on int sequences builds none.
+        made = []
+
+        class Counting(Fraction):
+            def __new__(cls, *args, **kwargs):
+                made.append(args)
+                return super().__new__(cls, *args, **kwargs)
+
+        monkeypatch.setattr(combinatorics, "Fraction", Counting)
+        charge = ChargeData(6, (3, -1, -2))
+        lams = enumerate_multipartitions(3, 4)
+        for fn in (a_value_combinatorial, a_value_hook_formula):
+            for lam in lams:
+                made.clear()
+                fn(lam, charge)
+                assert len(made) == 1, (fn.__name__, lam)
+        made.clear()
+        kappas = [scaled_kappa(lam, charge, 6) for lam in lams]
+        results = [dominates(x, y) for x in kappas for y in kappas]
+        assert multiset_dominates([6, 1, 2], [3, 3, 3]) and not multiset_dominates([2, 2], [3, 1])
+        assert made == []
+        assert results.count(Dominance.EQUAL) == len(lams) and Dominance.STRICT in results
 
 
 class TestSigma:
