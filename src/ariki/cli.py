@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 
 from .basicset import assemble_basic_set, assemble_basic_set_gpn
 from .combinatorics import (
@@ -68,6 +69,9 @@ def _int_list_arg(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers: {exc}")
 
 
+# Built once per process: the parser depends only on module constants, and
+# parse_args never changes it (every call gets a fresh Namespace).
+@lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ariki",
@@ -299,6 +303,10 @@ def _cmd_basicset_gpn(args) -> int:
 def _cmd_verify(args) -> int:
     if args.jobs < 1:
         raise FlagError(f"--jobs must be >= 1, got {args.jobs}")
+    if args.max_l is not None and args.max_l < 1:
+        raise FlagError(f"--max-l must be >= 1, got {args.max_l}")
+    if args.max_n is not None and args.max_n < 0:
+        raise FlagError(f"--max-n must be >= 0, got {args.max_n}")
     names = args.suite or ["all"]
     results = run_suites(names, max_l=args.max_l, max_n=args.max_n, jobs=args.jobs)
     for res in results:

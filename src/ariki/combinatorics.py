@@ -308,10 +308,16 @@ def a_value_combinatorial(m: Multipartition, charge: ChargeData) -> Fraction:
     r * n_m is the weighted sum of the entries scaled by r, so this is exact
     in ints.
     """
-    empty = Multipartition((EMPTY,) * m.level)
-    size = max(min_symbol_size(m, charge), min_symbol_size(empty, charge))
-    lam, nil = scaled_kappa(m, charge, size), scaled_kappa(empty, charge, size)
-    return Fraction(_weighted_sum(lam) - _weighted_sum(nil))
+    size, nil = _empty_part(charge, min_symbol_size(m, charge))
+    return Fraction(_weighted_sum(scaled_kappa(m, charge, size)) - nil)
+
+
+@lru_cache(maxsize=None)
+def _empty_part(charge: ChargeData, size: int) -> tuple[int, int]:
+    """The common symbol size for a multipartition of minimal size `size`, and r * n_m(empty) at it."""
+    empty = Multipartition((EMPTY,) * charge.level)
+    size = max(size, min_symbol_size(empty, charge))
+    return size, _weighted_sum(scaled_kappa(empty, charge, size))
 
 
 def a_value_hook_formula(m: Multipartition, charge: ChargeData) -> Fraction:

@@ -1,5 +1,6 @@
 import ast
 import hashlib
+import itertools
 import json
 import math
 import subprocess
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from ariki import schur
+from ariki import cli, schur
 from ariki.basicset import dm_partition
 from ariki.cli import main
 from ariki.combinatorics import mp, multipartition_to_json
@@ -430,6 +431,27 @@ class TestVerifyCommand:
             code, out, err = run_cli(capsys, "verify", "--suite", "examples", "--jobs", jobs)
             assert code == 2 and out == "" and "--jobs" in err
 
+    @pytest.mark.parametrize(
+        "suite, flags",
+        [
+            ("lemmas", ["--max-n"]),
+            ("formulas", ["--max-l", "--max-n"]),
+            ("avalues", ["--max-l", "--max-n"]),
+            ("defect0", ["--max-l", "--max-n"]),
+            ("dominance", ["--max-l", "--max-n"]),
+        ],
+    )
+    def test_scopes_out_of_range_are_flag_errors(self, capsys, suite, flags):
+        bad = {"--max-l": ("0", "-2"), "--max-n": ("-1",)}
+        for flag in flags:
+            for value in bad[flag]:
+                code, out, err = run_cli(capsys, "verify", "--suite", suite, flag, value)
+                assert code == 2 and out == "" and flag in err, (flag, value)
+
+    def test_smallest_scopes_run(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--suite", "defect0", "--max-l", "1", "--max-n", "0")
+        assert code == 0 and out == "defect0: PASS (20 checks)\n"
+
     def test_workers_capped_by_cpus_and_items(self, capsys, monkeypatch):
         # The stub pool records max_workers and maps serially: no process starts.
         import ariki.verify as verify
@@ -529,8 +551,6 @@ class TestVerifyCommand:
     def test_concatenation_failure_prints_fractions(self, capsys, monkeypatch, honest_calls, shown):
         # The instances are drawn as ints over 6; the message shows the
         # Fractions they stand for, as the Fraction-valued draw printed them.
-        import itertools
-
         import ariki.verify as verify
 
         calls = itertools.count()
@@ -549,6 +569,89 @@ class TestVerifyCommand:
         direct = [verify_lemmas(max_n=2), verify_formulas(max_l=1, max_n=2), verify_semisimple()]
         assert code == 0
         assert out.splitlines() == [res.line() for res in direct]
+
+
+def run_or_exit(capsys, argv):
+    """main's exit code, stdout and stderr, also when argparse exits."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+class TestParserReuse:
+    # Counters and bytes, never wall time.  A cleared cache is a fresh process
+    # as far as the CLI can tell: the parser is its only state across calls.
+    CALLS = [
+        ["schur", "--lambda", "[[2]]"],
+        ["semisimple", "--l", "1", "--n", "2", "--e", "3", "--r", "1", "--charges", "0"],
+        ["defect0", "--e", "3", "--v", "0", "--all", "--n", "3"],
+        ["avalue", "--lambda", "[[1],[]]", "--r", "1", "--charges", "0,1"],
+        ["basicset", "--l", "1", "--n", "2", "--e", "2", "--r", "1", "--charges", "0"],
+        ["basicset-gpn", "--l", "2", "--p", "2", "--n", "3", "--e", "3", "--r", "1", "--charges", "0"],
+        ["verify", "--suite", "examples"],
+    ]
+    PARSE_ERRORS = [
+        [],
+        ["nope"],
+        ["schur"],
+        ["schur", "--lambda", "[["],
+        ["avalue", "--lambda", "[[1]]", "--r", "1", "--charges", "0", "--bogus"],
+        ["semisimple", "--l", "x"],
+        ["verify", "--suite", "nope"],
+        ["verify", "--suite", "examples", "--jobs"],
+    ]
+
+    def test_built_once_per_process(self, capsys):
+        cli._build_parser.cache_clear()
+        for argv in self.CALLS * 2:
+            assert main(argv) == 0, argv
+        info = cli._build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 2 * len(self.CALLS) - 1)
+        capsys.readouterr()
+
+    def test_parse_errors_leave_no_state(self, capsys):
+        def fresh(argv):
+            cli._build_parser.cache_clear()
+            return run_or_exit(capsys, argv)
+
+        expected = {tuple(argv): fresh(argv) for argv in self.PARSE_ERRORS + self.CALLS}
+        assert all(expected[tuple(argv)][0] == 2 for argv in self.PARSE_ERRORS)
+        cli._build_parser.cache_clear()
+        for bad, good in zip(self.PARSE_ERRORS, itertools.cycle(self.CALLS)):
+            assert run_or_exit(capsys, bad) == expected[tuple(bad)], bad
+            assert run_or_exit(capsys, good) == expected[tuple(good)], good
+        assert cli._build_parser.cache_info().misses == 1
+
+    def test_append_default_is_not_shared(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--suite", "examples", "--suite", "lemmas", "--max-n", "2")
+        assert code == 0 and out == "examples: PASS (21 checks)\nlemmas: PASS (13 checks)\n"
+        code, out, _ = run_cli(capsys, "verify", "--suite", "examples")
+        assert code == 0 and out == "examples: PASS (21 checks)\n"
+        assert cli._build_parser().parse_args(["verify"]).suite is None
+
+    def test_help_is_byte_identical_after_other_calls(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "100")
+        commands = [(), *((name,) for name in cli._HANDLERS)]
+
+        def help_text(command):
+            code, out, err = run_or_exit(capsys, [*command, "--help"])
+            assert code == 0 and err == "" and out, command
+            return out
+
+        first = {}
+        for command in commands:
+            cli._build_parser.cache_clear()
+            first[command] = help_text(command)
+        assert all(name in first[()] for name in cli._HANDLERS)
+        cli._build_parser.cache_clear()
+        for argv in self.CALLS + self.PARSE_ERRORS:
+            run_or_exit(capsys, argv)
+        for _ in range(2):
+            assert {command: help_text(command) for command in commands} == first
+        assert cli._build_parser.cache_info().misses == 1
 
 
 class TestDeterminism:

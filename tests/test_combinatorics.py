@@ -464,6 +464,27 @@ class TestScaledIntegerKernel:
         assert made == []
         assert results.count(Dominance.EQUAL) == len(lams) and Dominance.STRICT in results
 
+    def test_empty_part_built_once_per_charge_and_size(self, monkeypatch):
+        # A count, not a wall time: one scaled kappa per multipartition, plus
+        # one per distinct (charge, minimal size) for the empty multipartition.
+        real = combinatorics.scaled_kappa
+        calls = []
+
+        def counting(m, charge, size=None):
+            calls.append(m)
+            return real(m, charge, size)
+
+        monkeypatch.setattr(combinatorics, "scaled_kappa", counting)
+        combinatorics._empty_part.cache_clear()
+        charges = [ChargeData(6, (3, -1, -2)), ChargeData(1, (0, 4, -7)), ChargeData(6, (3, -1, -2))]
+        lams = [lam for n in range(5) for lam in enumerate_multipartitions(3, n)]
+        keys = {(charge, min_symbol_size(lam, charge)) for charge in charges for lam in lams}
+        for charge in charges:
+            for lam in lams:
+                assert a_value_combinatorial(lam, charge) == a_value_hook_formula(lam, charge), (lam, charge)
+        assert len(calls) == len(charges) * len(lams) + len(keys)
+        assert combinatorics._empty_part.cache_info().misses == len(keys)
+
 
 class TestSigma:
     def test_rotation_example(self):
