@@ -36,7 +36,6 @@ from .exactalg import (
     MultiLaurent,
     SpecMap,
     cyclotomic_polynomial,
-    exact_divide,
     specialise,
 )
 from .schur import (

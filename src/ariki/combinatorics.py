@@ -226,12 +226,6 @@ class KappaSequence:
         if any(es[i] < es[i + 1] for i in range(len(es) - 1)):
             raise DomainError("kappa entries must be weakly decreasing")
 
-    @classmethod
-    def from_entries(cls, entries: Sequence[Fraction]) -> "KappaSequence":
-        es = tuple(entries)
-        n_m = sum(((i - 1) * v for i, v in enumerate(es, start=1)), Fraction(0))
-        return cls(es, n_m)
-
 
 def min_symbol_size(m: Multipartition, charge: ChargeData) -> int:
     """Smallest size making every row long enough to hold its component's parts.

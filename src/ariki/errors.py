@@ -8,8 +8,8 @@ class DomainError(ValueError):
 class InexactDivisionError(ArithmeticError):
     """A division that was required to be exact left a remainder.
 
-    Inside a Schur-element evaluation this firing indicates a bug, never
-    bad input: every quotient taken there is a Laurent polynomial.
+    Only ``exactalg.cyclotomic_polynomial`` divides polynomials (by
+    binomials x^m - 1); there this firing indicates a bug, never bad input.
     """
 
 

@@ -414,9 +414,11 @@ class TestBasicSetCommands:
 
 class TestVerifyCommand:
     def test_single_suite(self, capsys):
-        code, out, _ = run_cli(capsys, "verify", "--suite", "examples")
-        assert code == 0
-        assert out == "examples: PASS (21 checks)\n"
+        # The fuzz count is exact: its seeded draws and zero skips fix every check.
+        for suite, line in (("examples", "examples: PASS (21 checks)\n"), ("fuzz", "fuzz: PASS (3148 checks)\n")):
+            code, out, _ = run_cli(capsys, "verify", "--suite", suite)
+            assert code == 0
+            assert out == line
 
     def test_repeatable_and_parallel_identical(self, capsys):
         _, base, _ = run_cli(capsys, "verify", "--suite", "lemmas", "--max-n", "4")

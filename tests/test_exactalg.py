@@ -13,10 +13,11 @@ from ariki.exactalg import (
     CyclotomicInt,
     MultiLaurent,
     SpecMap,
+    _over_binomial,
     _poly_mul,
     _reduce_mod_cyclotomic,
+    _times_binomial,
     cyclotomic_polynomial,
-    exact_divide,
     product_divide,
     specialise,
 )
@@ -60,6 +61,14 @@ class TestRing:
         with pytest.raises(DomainError):
             MultiLaurent(1, {(0,): 1})
 
+    def test_term_pads_and_checks_the_Q_exponents(self):
+        assert MultiLaurent.term(2, 3, 1, (2,)) == MultiLaurent(2, {(1, 2, 0): 3})
+        for coeff in (1, 0):
+            with pytest.raises(DomainError, match=r"\(0, 1, 2\) has length 3, expected 2"):
+                MultiLaurent.term(1, coeff, 0, (1, 2))
+        with pytest.raises(DomainError, match=r"\(0, 1, 2\) has length 3, expected 2"):
+            MultiLaurent(1, {(0, 1, 2): 1})
+
     @given(laurent_terms, laurent_terms, laurent_terms)
     @settings(max_examples=150, deadline=None)
     def test_ring_axioms(self, ta, tb, tc):
@@ -72,97 +81,43 @@ class TestRing:
 
 
 @st.composite
-def staged_quotients(draw):
-    """(l, num factors, den factors, exact), with den factors of three exact kinds.
-
-    Every den factor is divided out of the expanded num product in turn:
-    +-monomial multiples of num factors, +-monomial * (q - 1) against a num
-    factor +-monomial * (q^k - 1), and the product of two num factors.
-    Inexact: 5 times a factor, which divides nothing, because coefficients
-    lie in +-{1, 2, 3} and the content of a product is the product of the
-    contents (Gauss).
-    """
-    l = draw(st.integers(1, 2))
-    exps = st.tuples(*[st.integers(-2, 2)] * (l + 1))
-    coeffs = st.sampled_from((-3, -2, -1, 1, 2, 3))
-
-    def factor():
-        return MultiLaurent(l, draw(st.dictionaries(exps, coeffs, min_size=1, max_size=3)))
-
-    def unit():
-        return MultiLaurent(l, {draw(exps): draw(st.sampled_from((1, -1)))})
-
-    q = MultiLaurent.term(l, 1, e_q=1)
-    one = MultiLaurent.one(l)
-    nums = [factor() for _ in range(draw(st.integers(1, 4)))]
-    unused = list(range(len(nums)))
-    dens = []
-    for kind in draw(st.lists(st.sampled_from(("unit", "binomial", "product")), max_size=4)):
-        if kind == "unit" and unused:
-            i = unused.pop(draw(st.integers(0, len(unused) - 1)))
-            dens.append(unit() * nums[i])
-        elif kind == "binomial":
-            k = draw(st.integers(1, 4))
-            nums.append(unit() * (MultiLaurent.term(l, 1, e_q=k) - one))
-            dens.append(unit() * (q - one))
-        elif kind == "product" and len(unused) >= 2:
-            i, j = unused.pop(), unused.pop()
-            dens.append(nums[i] * nums[j])
-    exact = draw(st.booleans())
-    if not exact:
-        dens.insert(draw(st.integers(0, len(dens))), MultiLaurent(l, {(0,) * (l + 1): 5}) * factor())
-    return l, draw(st.permutations(nums)), draw(st.permutations(dens)), exact
+def factor_lists(draw):
+    """(l, factors): 0 to 4 factors with negative exponents; an empty term map is a zero factor."""
+    l = draw(st.integers(1, 3))
+    exps = st.tuples(*[st.integers(-4, 4)] * (l + 1))
+    factor = st.dictionaries(exps, st.integers(-5, 5), max_size=4).map(lambda terms: MultiLaurent(l, terms))
+    return l, draw(st.lists(factor, max_size=4))
 
 
 class TestExactDivide:
-    def test_examples(self):
-        l = 2
-        f = MultiLaurent(l, {(2, 1, 0): 1, (0, 0, 1): -1})  # q^2 Q0 - Q1
-        g = MultiLaurent(l, {(1, 1, 0): 1, (0, 0, 1): -1})  # q Q0 - Q1
-        assert exact_divide(f * g, g) == f
-        x = MultiLaurent(l, {(-2, 1, 3): 7, (0, 0, 0): 1})
-        assert exact_divide(x, MultiLaurent.one(l)) == x
-        assert exact_divide(q_poly((2, 1), (0, -1)), q_poly((1, 1), (0, -1))) == q_poly((1, 1), (0, 1))
+    """product_divide, and the exact binomial division left in cyclotomic_polynomial."""
 
     def test_inexact_raises(self):
+        # (2 + x)(x^3 - 1) / (x^3 - 1) is exact; (1 + x^3) / (x - 1) leaves 2.
+        assert _over_binomial(_times_binomial([2, 1], 3), 3) == [2, 1]
         with pytest.raises(InexactDivisionError):
-            exact_divide(q_poly((2, 1), (0, -1)), q_poly((1, 1), (0, -2)))
-        with pytest.raises(InexactDivisionError):
-            exact_divide(q_poly((1, 1)), q_poly((1, 2)))
-        with pytest.raises(InexactDivisionError):
-            exact_divide(q_poly((2, 1), (0, 1)), q_poly((1, 1), (0, 1)))
-        # failure only surfaces deep in the reduction
-        q_plus_1 = q_poly((1, 1), (0, 1))
-        deep = q_plus_1 * q_plus_1 * q_plus_1 + MultiLaurent.one(1)
-        with pytest.raises(InexactDivisionError):
-            exact_divide(deep, q_plus_1)
+            _over_binomial([1, 0, 0, 1], 1)
 
     def test_zero_cases(self):
+        x = q_poly((1, 1), (0, -1))
+        assert product_divide(1, [x, MultiLaurent.zero(1), x]).is_zero()
+        assert product_divide(1, []) == MultiLaurent.one(1)
         with pytest.raises(DomainError):
-            exact_divide(q_poly((0, 1)), MultiLaurent.zero(1))
-        assert exact_divide(MultiLaurent.zero(1), q_poly((0, 2))).is_zero()
+            product_divide(1, [x, MultiLaurent.one(2)])
 
-    def test_wide_exponent_spread_divides_exactly(self):
-        # (q^(2^27) + 1)(q - 1) / (q - 1): the exponents span more than a
-        # 27-bit field, so the packed fields must widen for this call.  Run
-        # with and without -O: no assert guards the result.
+    def test_wide_exponent_spread_multiplies_exactly(self):
+        # (q^(2^40) + Q0^(-2^40))(q - 1): the exponents span more than 2^41,
+        # so the packed fields must widen for this call.  Run with and
+        # without -O: no assert guards the result.
         code = (
-            "from ariki.exactalg import MultiLaurent, exact_divide\n"
+            "from ariki.exactalg import MultiLaurent, product_divide\n"
             "q_minus_1 = MultiLaurent(1, {(1, 0): 1, (0, 0): -1})\n"
-            "wide = MultiLaurent(1, {(2**27, 0): 1, (0, 0): 1})\n"
-            "print(exact_divide(wide * q_minus_1, q_minus_1) == wide)\n"
+            "wide = MultiLaurent(1, {(2**40, 0): 1, (0, -2**40): 1})\n"
+            "print(product_divide(1, [wide, q_minus_1]) == wide * q_minus_1)\n"
         )
         for flags in ([], ["-O"]):
             proc = subprocess.run([sys.executable, *flags, "-c", code], capture_output=True, text=True)
             assert proc.stdout == "True\n", (flags, proc.stderr)
-
-    @given(laurent_terms, laurent_terms)
-    @settings(max_examples=200, deadline=None)
-    def test_roundtrip(self, ta, tb):
-        a, b = make2(ta), make2(tb)
-        if a.is_zero() or b.is_zero():
-            return
-        assert exact_divide(a * b, b) == a
 
     def test_product_divide_matches_chain(self):
         l = 1
@@ -171,25 +126,15 @@ class TestExactDivide:
         for f in fs:
             chained = chained * f
         assert product_divide(l, fs) == chained
-        assert product_divide(l, fs, [fs[1]]) == exact_divide(chained, fs[1])
 
-    @given(staged_quotients())
+    @given(factor_lists())
     @settings(max_examples=300, deadline=None)
-    def test_product_divide_cancels_then_expands(self, case):
-        # product_divide expands the num factors, then divides by each den
-        # factor in turn; the quotient is checked by multiplying back.
-        l, nums, dens, exact = case
-        if not exact:
-            with pytest.raises(InexactDivisionError):
-                product_divide(l, nums, dens)
-            return
-        result = product_divide(l, nums, dens)
-        lhs, rhs = result, MultiLaurent.one(l)
-        for d in dens:
-            lhs = lhs * d
-        for f in nums:
-            rhs = rhs * f
-        assert lhs == rhs
+    def test_product_divide_matches_chained_mul(self, case):
+        l, factors = case
+        chained = MultiLaurent.one(l)
+        for f in factors:
+            chained = chained * f
+        assert product_divide(l, factors) == chained
 
 
 class TestRender:
