@@ -21,6 +21,11 @@ One walk down the rims of a vertex reads the good node of every residue
 at once (`_good_nodes`); the breadth-first search follows each arrow it
 returns, and `f_tilde` is a lookup into the same reading.  The convention
 above is unchanged by this.
+
+The search keeps every vertex as a bare tuple of part tuples.  Partition
+and Multipartition objects are built, and sorted, only where they are
+emitted: for the crystal layers that the assembly combines, and for the
+one layer that `uglov_multipartitions` returns.
 """
 
 from __future__ import annotations
@@ -244,50 +249,50 @@ def f_tilde(m: Multipartition, t: int, charge: UglovCharge) -> Multipartition | 
     return Multipartition(tuple(Partition(p) for p in _add_node(comps, *node)))
 
 
-def uglov_levels(lc: int, n_max: int, charge: UglovCharge) -> list[tuple[Multipartition, ...]]:
-    """Reachable multipartitions at every rank 0..n_max, canonically sorted."""
+def uglov_levels(lc: int, n_max: int, charge: UglovCharge) -> list[set[tuple[tuple[int, ...], ...]]]:
+    """Reachable vertices at every rank 0..n_max, unordered.
+
+    A vertex is the tuple of its components' parts.  No Partition is
+    validated and no layer is sorted here: callers build and order only the
+    layers they emit.
+    """
     if lc < 1 or n_max < 0:
         raise DomainError("need lc >= 1 and n_max >= 0")
     if len(charge.s) != lc:
         raise DomainError(f"charge has {len(charge.s)} entries for level {lc}")
-    empty = Multipartition((Partition(),) * lc)
+    empty = ((),) * lc
     if charge.e_prime < 1:
         raise DomainError("quantum characteristic must be >= 1")
     if charge.e_prime == 1:
         # eta^r = 1: the component algebra is semisimple only in the
         # level-1 (or rank-0) situation, where every label survives.
         if lc == 1:
-            return [
-                tuple(Multipartition((p,)) for p in partitions_of(k))
-                for k in range(n_max + 1)
-            ]
+            return [{(p.parts,) for p in partitions_of(k)} for k in range(n_max + 1)]
         if n_max == 0:
-            return [(empty,)]
+            return [{empty}]
         raise DomainError(
             "quantum characteristic 1 with a level >= 2 class: "
             "the component algebra is not semisimple and no crystal applies"
         )
     s, ep = charge.s, charge.e_prime
-    levels = [(empty,)]
-    # The frontier holds bare part tuples; each layer is validated as
-    # Partitions and Multipartitions once, when it is emitted.
-    frontier = {((),) * lc}
+    frontier = {empty}
+    levels = [frontier]
     for rank in range(1, n_max + 1):
         frontier = {
             _add_node(x, c, row) for x in frontier for c, row in _good_nodes(x, s, ep).values()
         }
-        layer = [Multipartition(tuple(Partition(p) for p in x)) for x in frontier]
-        for y in layer:
-            if y.rank != rank:
-                raise InternalError(f"a crystal arrow reached rank {y.rank} in layer {rank}")
-        layer.sort(key=canonical_key)
-        levels.append(tuple(layer))
+        for x in frontier:
+            if sum(map(sum, x)) != rank:
+                raise InternalError(f"a crystal arrow reached rank {sum(map(sum, x))} in layer {rank}")
+        levels.append(frontier)
     return levels
 
 
 def uglov_multipartitions(lc: int, nc: int, charge: UglovCharge) -> tuple[Multipartition, ...]:
-    """The rank-nc layer of the crystal component of the empty multipartition."""
-    return uglov_levels(lc, nc, charge)[nc]
+    """The rank-nc layer of the crystal component of the empty multipartition, canonically sorted."""
+    layer = [Multipartition(tuple(map(Partition, x))) for x in uglov_levels(lc, nc, charge)[nc]]
+    layer.sort(key=canonical_key)
+    return tuple(layer)
 
 
 # ---------------------------------------------------------------------------
@@ -331,18 +336,21 @@ def assemble_basic_set(spec: CycloSpec, l: int, n: int) -> BasicSet:
     )
     levels = [uglov_levels(len(cls), n, ch) for cls, ch in zip(dm.classes, charges)]
 
+    # Partitions for a (class, rank) layer, built once, when first combined.
+    built: dict[tuple[int, int], list[tuple[Partition, ...]]] = {}
     elements: list[Multipartition] = []
     expected = 0
     for comp_sizes in compositions(n, len(dm.classes)):
-        pools = [levels[i][ni] for i, ni in enumerate(comp_sizes)]
-        count = 1
-        for pool in pools:
-            count *= len(pool)
-        expected += count
+        pools = []
+        for i, ni in enumerate(comp_sizes):
+            if (i, ni) not in built:
+                built[i, ni] = [tuple(map(Partition, x)) for x in levels[i][ni]]
+            pools.append(built[i, ni])
+        expected += math.prod(map(len, pools))
         for choice in itertools.product(*pools):
             comps: list[Partition | None] = [None] * l
             for cls, local in zip(dm.classes, choice):
-                for idx, part in zip(cls, local.components):
+                for idx, part in zip(cls, local):
                     comps[idx] = part
             elements.append(Multipartition(tuple(comps)))  # type: ignore[arg-type]
     if not len(set(elements)) == len(elements) == expected:

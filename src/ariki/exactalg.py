@@ -62,11 +62,11 @@ class MultiLaurent:
         clean: dict[tuple[int, ...], int] = {}
         if terms:
             for exps, c in terms.items():
+                if len(exps) != l + 1:
+                    raise DomainError(
+                        f"exponent vector {exps} has length {len(exps)}, expected {l + 1}"
+                    )
                 if c != 0:
-                    if len(exps) != l + 1:
-                        raise DomainError(
-                            f"exponent vector {exps} has length {len(exps)}, expected {l + 1}"
-                        )
                     clean[exps] = c
         self.terms = clean
 
@@ -82,9 +82,8 @@ class MultiLaurent:
 
     @classmethod
     def term(cls, l: int, coeff: int, e_q: int = 0, e_Q: Iterable[int] = ()) -> "MultiLaurent":
+        # Missing trailing exponents are 0; a vector that is too long is refused by __init__.
         exps = (e_q, *e_Q)
-        if len(exps) > l + 1:
-            raise DomainError(f"exponent vector {exps} has length {len(exps)}, expected {l + 1}")
         return cls(l, {exps + (0,) * (l + 1 - len(exps)): coeff})
 
     # -- ring structure ------------------------------------------------------

@@ -1,7 +1,10 @@
+import itertools
+import math
 import random
+from collections import Counter
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ariki.basicset import (
@@ -18,6 +21,7 @@ from ariki.combinatorics import (
     Multipartition,
     Partition,
     canonical_key,
+    compositions,
     enumerate_multipartitions,
     mp,
     multipartition_to_json,
@@ -31,6 +35,14 @@ SPEC_312 = CycloSpec(e=12, k=1, r=6, charges=(3, -1, -2))
 
 def jset(elements):
     return {multipartition_to_json(x) for x in elements}
+
+
+def as_multipartitions(levels):
+    """`uglov_levels`' layers of bare part tuples as canonically sorted Multipartitions."""
+    return [
+        tuple(sorted((Multipartition(tuple(map(Partition, x))) for x in layer), key=canonical_key))
+        for layer in levels
+    ]
 
 
 class TestDMPartition:
@@ -149,7 +161,7 @@ class TestCrystal:
 
     def test_levels_are_nested_one_node_apart(self):
         charge = UglovCharge(3, (1, -1))
-        levels = uglov_levels(2, 4, charge)
+        levels = as_multipartitions(uglov_levels(2, 4, charge))
         for rank, layer in enumerate(levels):
             for lam in layer:
                 assert lam.rank == rank
@@ -236,6 +248,23 @@ def _reference_levels(lc, n_max, charge):
     return levels
 
 
+def _reference_assembly(spec, l, n):
+    """The basic set combined from `_reference_levels`, one class projection at a time."""
+    dm = dm_partition(spec, l, n)
+    levels = [
+        _reference_levels(len(cls), n, charge_for(dm, i, spec)) for i, cls in enumerate(dm.classes)
+    ]
+    elements = []
+    for sizes in compositions(n, len(dm.classes)):
+        for choice in itertools.product(*(levels[i][ni] for i, ni in enumerate(sizes))):
+            comps = [None] * l
+            for cls, local in zip(dm.classes, choice):
+                for idx, part in zip(cls, local.components):
+                    comps[idx] = part
+            elements.append(Multipartition(tuple(comps)))
+    return tuple(sorted(elements, key=canonical_key))
+
+
 @st.composite
 def crystal_cases(draw):
     lc = draw(st.integers(1, 3))
@@ -254,7 +283,7 @@ class TestOnePassCrystal:
     @settings(max_examples=200, deadline=None)
     def test_levels_match_the_per_residue_scan(self, case):
         lc, n, charge = case
-        assert uglov_levels(lc, n, charge) == _reference_levels(lc, n, charge)
+        assert as_multipartitions(uglov_levels(lc, n, charge)) == _reference_levels(lc, n, charge)
 
     @given(crystal_cases())
     @example((1, 4, UglovCharge(2, (0,))))
@@ -269,7 +298,45 @@ class TestOnePassCrystal:
                     assert f_tilde(x, t, charge) == _reference_f_tilde(x, t, charge), (x, t)
 
 
+@st.composite
+def non_semisimple_specs(draw):
+    """(spec, l, n) with l <= 3, n <= 6, e' >= 2 and a non-semisimple algebra."""
+    l = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 6))
+    e = draw(st.sampled_from((2, 3, 4, 5, 6, 8, 12)))
+    k = draw(st.sampled_from([x for x in range(1, e) if math.gcd(x, e) == 1]))
+    r = draw(st.integers(1, 4))
+    charges = tuple(draw(st.lists(st.integers(-5, 5), min_size=l, max_size=l)))
+    spec = CycloSpec(e=e, k=k, r=r, charges=charges)
+    assume(e // math.gcd(e, r) >= 2 and not is_semisimple(spec, l, n))
+    return spec, l, n
+
+
 class TestAssembleBasicSet:
+    # The examples split into two and three classes of indices.
+    @given(non_semisimple_specs())
+    @example((SPEC_312, 3, 2))
+    @example((CycloSpec(e=12, k=1, r=2, charges=(0, -3, -2)), 3, 6))
+    @example((CycloSpec(e=4, k=1, r=1, charges=(0, -3, -3)), 3, 5))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_the_reference_assembly(self, case):
+        spec, l, n = case
+        assert assemble_basic_set(spec, l, n).elements == _reference_assembly(spec, l, n)
+
+    def test_builds_only_the_objects_it_returns(self, monkeypatch):
+        # A count, not a time: the crystal walk builds no Partition or
+        # Multipartition, and the assembly one of each per element at level 1.
+        built = Counter()
+        for cls in (Partition, Multipartition):
+            def counting(self, original=cls.__post_init__, name=cls.__name__):
+                built[name] += 1
+                original(self)
+
+            monkeypatch.setattr(cls, "__post_init__", counting)
+        bs = assemble_basic_set(CycloSpec(e=4, k=1, r=1, charges=(0,)), 1, 20)
+        assert len(bs.elements) > 100
+        assert built == {"Partition": len(bs.elements), "Multipartition": len(bs.elements)}
+
     def test_worked_example(self):
         bs = assemble_basic_set(SPEC_312, 3, 2)
         assert jset(bs.elements) == {

@@ -411,8 +411,42 @@ class TestBasicSetCommands:
         assert proc.returncode == 0, proc.stderr
         assert hashlib.sha256(proc.stdout).hexdigest() == digest
 
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            # dm_partition gives the classes (0, 2) and (1,).
+            ("basicset --l=3 --n=7 --e=12 --k=1 --r=2 --charges=0,-3,-2 --json",
+             "3d32538951a8df1b6347ac9e4a3b57c3b2b489c3d0ab8c7d4727ee8a952a0f6f"),
+            # The ambient G(6,1,6) set has the classes (0, 3), (1, 4) and (2, 5).
+            ("basicset-gpn --l=6 --p=3 --n=6 --e=8 --k=1 --r=1 --charges=-2,-2",
+             "a6cb74457a4ac940238d3162a702f3c3c7784f6bd45e98f9cc9cef9476aeda74"),
+        ],
+    )
+    def test_multi_class_sets_are_pinned(self, capsys, argv, digest):
+        # The digests were taken while every crystal layer was still built
+        # and sorted as Multipartitions.
+        code, out, err = run_cli(capsys, *argv.split())
+        assert code == 0 and err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 class TestVerifyCommand:
+    def test_suite_choices_are_the_verify_suites(self):
+        from ariki import verify
+
+        assert list(cli.SUITE_NAMES) == sorted(verify.SUITES)
+
+    def test_importing_the_cli_loads_no_verify_machinery(self):
+        # Only the verify command needs ariki.verify and its process pools.
+        code = (
+            "import sys\n"
+            "import ariki.cli\n"
+            "print(sorted(m for m in ('ariki.verify', 'concurrent.futures') if m in sys.modules))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
     def test_single_suite(self, capsys):
         # The fuzz count is exact: its seeded draws and zero skips fix every check.
         for suite, line in (("examples", "examples: PASS (21 checks)\n"), ("fuzz", "fuzz: PASS (3148 checks)\n")):

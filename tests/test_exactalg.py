@@ -69,6 +69,17 @@ class TestRing:
         with pytest.raises(DomainError, match=r"\(0, 1, 2\) has length 3, expected 2"):
             MultiLaurent(1, {(0, 1, 2): 1})
 
+    def test_zero_coefficients_are_length_checked_too(self):
+        def message(terms):
+            with pytest.raises(DomainError) as info:
+                MultiLaurent(1, terms)
+            return str(info.value)
+
+        for bad in ((0, 1, 2), (0,)):
+            assert message({bad: 0}) == message({bad: 1})
+            assert message({(0, 0): 1, bad: 0}) == message({bad: 1})
+        assert message({(0, 1, 2): 0}) == "exponent vector (0, 1, 2) has length 3, expected 2"
+
     @given(laurent_terms, laurent_terms, laurent_terms)
     @settings(max_examples=150, deadline=None)
     def test_ring_axioms(self, ta, tb, tc):
