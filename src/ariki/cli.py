@@ -154,6 +154,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _require_level(l: int | None) -> None:
+    # Checked before the charges, whose count --l sets.
+    if l is not None and l < 1:
+        raise FlagError(f"--l must be >= 1, got {l}")
+
+
 def _print_routes(values: dict[str, str], as_json: bool) -> int:
     """Print one route's value, or every route's and whether they agree (exit 1 if not)."""
     if len(values) == 1:
@@ -192,6 +198,7 @@ def _cmd_schur(args) -> int:
 
 
 def _cmd_semisimple(args) -> int:
+    _require_level(args.l)
     if len(args.charges) != args.l:
         raise FlagError(f"expected {args.l} charges, got {len(args.charges)}")
     spec = CycloSpec(args.e, args.k, args.r, args.charges)
@@ -205,6 +212,7 @@ def _cmd_semisimple(args) -> int:
 
 
 def _cmd_defect0(args) -> int:
+    _require_level(args.l)
     v = args.v
     if args.all == (args.lam is not None):
         raise FlagError("exactly one of --lambda and --all is required")
@@ -258,6 +266,7 @@ def _params_obj(spec: CycloSpec, l: int, n: int) -> dict:
 
 
 def _cmd_basicset(args) -> int:
+    _require_level(args.l)
     if len(args.charges) != args.l:
         raise FlagError(f"expected {args.l} charges, got {len(args.charges)}")
     spec = CycloSpec(args.e, args.k, args.r, args.charges)
@@ -280,6 +289,7 @@ def _cmd_basicset(args) -> int:
 
 
 def _cmd_basicset_gpn(args) -> int:
+    _require_level(args.l)
     d = args.l // args.p if args.p and args.l % args.p == 0 else None
     if d is not None and len(args.charges) not in (d, args.l):
         raise FlagError(f"expected {d} or {args.l} charges, got {len(args.charges)}")

@@ -7,6 +7,14 @@ product criterion, and so on.  Each suite is a generator of (checks,
 failure) pairs, and ``_suite`` names, times and tallies it into a
 ``SuiteResult``.  All randomness is seeded, so output is identical across
 runs and across worker counts.
+
+Suites map a module-level worker over their items through a ``_Workers``
+holder.  ``run_suites`` gives all its suites one holder, which starts at
+most one process pool, and only for a map whose estimated serial work (a
+cost per unit of work times the units in its items) passes
+``_POOL_BREAK_EVEN_US``; smaller maps run in this process.  ``--jobs`` and
+the CPUs the process may run on cap the pool's workers.  A suite called
+directly maps serially.
 """
 
 from __future__ import annotations
@@ -85,13 +93,54 @@ class SuiteResult:
         return msg
 
 
-def _pmap(fn, items, jobs: int):
-    items = list(items)
-    workers = min(jobs, os.cpu_count() or 1, len(items))
-    if workers <= 1:
-        return [fn(x) for x in items]
-    with ProcessPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(fn, items, chunksize=max(1, len(items) // (4 * workers))))
+# Estimated serial work, in microseconds, above which a map goes to the
+# process pool.  A pool at best halves a map's time on 2 CPUs and takes
+# 25-130 ms to start on a shared 2-core machine, so smaller maps run faster
+# in this process.
+_POOL_BREAK_EVEN_US = 150_000
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on (its affinity, where known)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _weight(item) -> int:
+    """Units of work in one map item: the length of a list-valued last field, else 1."""
+    return len(item[-1]) if isinstance(item, tuple) and isinstance(item[-1], list) else 1
+
+
+class _Workers:
+    """Maps suite workers over items, in item order, here or in one lazily started pool.
+
+    A map is pooled when `us_per_unit` times its items' total weight exceeds
+    _POOL_BREAK_EVEN_US: the items alone decide, so the choice repeats on
+    every run.
+    """
+
+    def __init__(self, jobs: int = 1):
+        self.workers = min(jobs, _usable_cpus())
+        self._pool = None
+
+    def map(self, fn, items, us_per_unit: int) -> list:
+        items = list(items)
+        if self.workers < 2 or len(items) < 2 or us_per_unit * sum(map(_weight, items)) <= _POOL_BREAK_EVEN_US:
+            return [fn(x) for x in items]
+        if self._pool is None:
+            # Looked up here, not bound at import: perfbench/tracing.py patches
+            # verify.ProcessPoolExecutor to count the pools started.
+            self._pool = ProcessPoolExecutor(max_workers=self.workers)
+        return list(self._pool.map(fn, items, chunksize=max(1, len(items) // (4 * self.workers))))
+
+    def close(self) -> None:
+        if self._pool is not None:
+            self._pool.shutdown(cancel_futures=True)
+            self._pool = None
+
+
+_SERIAL = _Workers()
 
 
 def _suite(name: str):
@@ -135,10 +184,10 @@ def _lemma_alpha_worker(lam: Multipartition) -> tuple[int, str | None]:
 
 
 @_suite("lemmas")
-def verify_lemmas(max_n: int = 6, jobs: int = 1):
+def verify_lemmas(max_n: int = 6, workers: _Workers = _SERIAL):
     parts = [p for n in range(1, max_n + 1) for p in partitions_of(n)]
-    yield from _pmap(_lemma_rational_worker, parts, jobs)
-    yield from _pmap(_lemma_alpha_worker, enumerate_multipartitions(3, max_n), jobs)
+    yield from workers.map(_lemma_rational_worker, parts, us_per_unit=600)
+    yield from workers.map(_lemma_alpha_worker, enumerate_multipartitions(3, max_n), us_per_unit=30)
 
 
 # ---------------------------------------------------------------------------
@@ -159,14 +208,14 @@ def _formulas_worker(lam: Multipartition) -> tuple[int, str | None]:
 
 
 @_suite("formulas")
-def verify_formulas(max_l: int = 3, max_n: int = 4, jobs: int = 1):
+def verify_formulas(max_l: int = 3, max_n: int = 4, workers: _Workers = _SERIAL):
     lams: list[Multipartition] = []
     for l in range(1, max_l + 1):
         for n in range(0, max_n + 1):
             lams.extend(enumerate_multipartitions(l, n))
     for n in range(0, max_n):
         lams.extend(enumerate_multipartitions(max_l + 1, n))
-    yield from _pmap(_formulas_worker, lams, jobs)
+    yield from workers.map(_formulas_worker, lams, us_per_unit=1000)
 
 
 # ---------------------------------------------------------------------------
@@ -208,14 +257,14 @@ def _sigma_worker(job) -> tuple[int, str | None]:
 
 
 @_suite("avalues")
-def verify_avalues(max_l: int = 3, max_n: int = 4, jobs: int = 1):
+def verify_avalues(max_l: int = 3, max_n: int = 4, workers: _Workers = _SERIAL):
     rng = random.Random(_SEED)
     jobs_list = []
     for l in range(1, max_l + 1):
         lams = [lam for n in range(0, max_n + 1) for lam in enumerate_multipartitions(l, n)]
         for _ in range(10):
             jobs_list.append((_random_charge(rng, l), lams))
-    yield from _pmap(_avalue_worker, jobs_list, jobs)
+    yield from workers.map(_avalue_worker, jobs_list, us_per_unit=300)
 
     sigma_jobs = []
     for l in range(1, max_l + 2):
@@ -228,7 +277,7 @@ def verify_avalues(max_l: int = 3, max_n: int = 4, jobs: int = 1):
                 block = tuple(rng.randint(-6, 6) for _ in range(d))
                 charge = ChargeData(rng.randint(1, 6), block * p)
                 sigma_jobs.append((charge, p, d, lams))
-    yield from _pmap(_sigma_worker, sigma_jobs, jobs)
+    yield from workers.map(_sigma_worker, sigma_jobs, us_per_unit=45)
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +315,7 @@ def _semisimple_worker(job) -> tuple[int, str | None]:
 
 
 @_suite("semisimple")
-def verify_semisimple(jobs: int = 1):
+def verify_semisimple(workers: _Workers = _SERIAL):
     rng = random.Random(_SEED + 1)
     grid = []
     for l in (1, 2, 3):
@@ -278,7 +327,7 @@ def verify_semisimple(jobs: int = 1):
                 grid.append((CycloSpec(e, k, r, charges), l, n))
     if len(grid) < 50:
         raise InternalError(f"semisimple grid has {len(grid)} points, expected at least 50")
-    yield from _pmap(_semisimple_worker, grid, jobs)
+    yield from workers.map(_semisimple_worker, grid, us_per_unit=3000)
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +351,7 @@ def _defect0_worker(job) -> tuple[int, str | None]:
 
 
 @_suite("defect0")
-def verify_defect0(max_l: int = 3, max_n: int = 4, jobs: int = 1):
+def verify_defect0(max_l: int = 3, max_n: int = 4, workers: _Workers = _SERIAL):
     rng = random.Random(_SEED + 2)
     jobs_list = []
     for l in range(1, max_l + 1):
@@ -313,7 +362,7 @@ def verify_defect0(max_l: int = 3, max_n: int = 4, jobs: int = 1):
         for n in range(0, max_n + 1):
             for lam in enumerate_multipartitions(l, n):
                 jobs_list.append((lam, cases))
-    yield from _pmap(_defect0_worker, jobs_list, jobs)
+    yield from workers.map(_defect0_worker, jobs_list, us_per_unit=100)
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +430,7 @@ def _brute_dominates(xs, ys) -> bool:
 
 
 @_suite("dominance")
-def verify_dominance(max_l: int = 3, max_n: int = 4, jobs: int = 1):
+def verify_dominance(max_l: int = 3, max_n: int = 4, workers: _Workers = _SERIAL):
     rng = random.Random(_SEED + 3)
     jobs_list = []
     for l in range(1, max_l + 1):
@@ -389,7 +438,7 @@ def verify_dominance(max_l: int = 3, max_n: int = 4, jobs: int = 1):
             lams = list(enumerate_multipartitions(l, n))
             for _ in range(3):
                 jobs_list.append((_random_charge(rng, l), lams))
-    yield from _pmap(_dominance_worker, jobs_list, jobs)
+    yield from workers.map(_dominance_worker, jobs_list, us_per_unit=100)
 
     for _ in range(1000):
         mus, nus = _concat_instance(rng)
@@ -419,7 +468,7 @@ _FUZZ_ROUNDS = 500
 
 
 @_suite("fuzz")
-def verify_fuzz(jobs: int = 1):
+def verify_fuzz():
     rng = random.Random(_SEED + 4)
     for n in range(1, 25):
         prod = [1]
@@ -503,7 +552,7 @@ def _as_json_set(elements) -> set[str]:
 
 
 @_suite("example-basic-set")
-def verify_example_basic_set(jobs: int = 1):
+def verify_example_basic_set():
     """G(3,1,2) with e=12, k=1, r=6, charges (3,-1,-2)."""
     spec = CycloSpec(e=12, k=1, r=6, charges=(3, -1, -2))
     yield 1, None if not is_semisimple(spec, 3, 2) else "G(3,1,2) parameters should not be semisimple"
@@ -539,7 +588,7 @@ def verify_example_basic_set(jobs: int = 1):
 
 
 @_suite("example-orbits")
-def verify_example_orbits(jobs: int = 1):
+def verify_example_orbits():
     """G(3,3,2) with p=3, e=12, k=1, r=2, block charge (0,)."""
     spec2 = CycloSpec(e=12, k=1, r=2, charges=(0,))
     ambient = CycloSpec(e=12, k=1, r=6, charges=(0, 0, 0))
@@ -557,10 +606,10 @@ def verify_example_orbits(jobs: int = 1):
 
 
 @_suite("examples")
-def verify_examples(jobs: int = 1):
+def verify_examples():
     # __wrapped__ is each example's undecorated generator of checks.
-    yield from verify_example_basic_set.__wrapped__(jobs)
-    yield from verify_example_orbits.__wrapped__(jobs)
+    yield from verify_example_basic_set.__wrapped__()
+    yield from verify_example_orbits.__wrapped__()
 
 
 # ---------------------------------------------------------------------------
@@ -582,13 +631,20 @@ SUITES = {
 def run_suites(
     names, max_l: int | None = None, max_n: int | None = None, jobs: int = 1
 ) -> list[SuiteResult]:
-    """Run the named suites in order; each gets the scopes its signature names."""
+    """Run the named suites in order; each gets the scopes its signature names.
+
+    The suites share one `_Workers`, so a run starts at most one process pool,
+    and leaves none running when it returns or raises.
+    """
     if "all" in names:
         names = list(SUITES)
-    scopes = {k: v for k, v in (("max_l", max_l), ("max_n", max_n)) if v is not None}
+    workers = _Workers(jobs)
+    given = {"max_l": max_l, "max_n": max_n, "workers": workers}
     out = []
-    for name in names:
-        fn = SUITES[name]
-        params = inspect.signature(fn).parameters
-        out.append(fn(jobs=jobs, **{k: v for k, v in scopes.items() if k in params}))
+    try:
+        for name in names:
+            params = inspect.signature(SUITES[name]).parameters
+            out.append(SUITES[name](**{k: v for k, v in given.items() if k in params and v is not None}))
+    finally:
+        workers.close()
     return out

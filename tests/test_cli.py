@@ -3,10 +3,12 @@ import hashlib
 import itertools
 import json
 import math
+import multiprocessing
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -14,6 +16,7 @@ from ariki import cli, schur
 from ariki.basicset import dm_partition
 from ariki.cli import main
 from ariki.combinatorics import mp, multipartition_to_json
+from ariki.errors import InternalError
 from ariki.exactalg import MultiLaurent
 from ariki.schur import CycloSpec
 
@@ -22,6 +25,52 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.fixture
+def stub_pools(monkeypatch):
+    """verify's pool replaced by one that maps in this process, on 4 usable CPUs.
+
+    Records each pool's max_workers in `pools` and counts pooled maps in `maps`.
+    """
+    import ariki.verify as verify
+
+    seen = SimpleNamespace(pools=[], maps=0)
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            seen.pools.append(max_workers)
+
+        def map(self, fn, items, chunksize=1):
+            seen.maps += 1
+            return map(fn, items)
+
+        def shutdown(self, cancel_futures=False):
+            pass
+
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(verify.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    return seen
+
+
+@pytest.fixture
+def forked_pools(monkeypatch):
+    """verify's real pool, forked so that workers see this test's patches, on 2 usable CPUs.
+
+    Returns the max_workers of each pool started.
+    """
+    import ariki.verify as verify
+
+    seen = []
+
+    class ForkedPool(verify.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+            super().__init__(max_workers, mp_context=multiprocessing.get_context("fork"))
+
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", ForkedPool)
+    monkeypatch.setattr(verify.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    return seen
 
 
 class TestSchurCommand:
@@ -430,6 +479,23 @@ class TestBasicSetCommands:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+class TestLevelFlag:
+    # --l is checked before the charge count it sets, so the error names it.
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "semisimple --l 0 --n 2 --e 3 --r 1 --charges 0",
+            "defect0 --l 0 --all --n 2 --e 3 --v 0",
+            "basicset --l -2 --n 2 --e 3 --r 1 --charges 0",
+            "basicset-gpn --l -1 --p 1 --n 2 --e 3 --r 1 --charges 0",
+        ],
+    )
+    def test_level_below_one_is_a_flag_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv.split())
+        level = argv.split()[2]
+        assert (code, out, err) == (2, "", f"error: --l must be >= 1, got {level}\n")
+
+
 class TestVerifyCommand:
     def test_suite_choices_are_the_verify_suites(self):
         from ariki import verify
@@ -488,40 +554,78 @@ class TestVerifyCommand:
         code, out, _ = run_cli(capsys, "verify", "--suite", "defect0", "--max-l", "1", "--max-n", "0")
         assert code == 0 and out == "defect0: PASS (20 checks)\n"
 
-    def test_workers_capped_by_cpus_and_items(self, capsys, monkeypatch):
-        # The stub pool records max_workers and maps serially: no process starts.
+    def test_workers_capped_by_cpus_and_items(self, monkeypatch, stub_pools):
         import ariki.verify as verify
 
-        seen = []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                seen.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items, chunksize=1):
-                return map(fn, items)
-
-        monkeypatch.setattr(verify, "ProcessPoolExecutor", SerialPool)
-        monkeypatch.setattr(verify.os, "cpu_count", lambda: 4)
-        assert verify._pmap(abs, [-1, -2, -3], 10**6) == [1, 2, 3]
-        assert verify._pmap(abs, range(-9, 0), 10**6) == list(range(9, 0, -1))
-        assert verify._pmap(abs, [-1, -2], 1) == [1, 2]
-        assert seen == [3, 4]
-        _, base, _ = run_cli(capsys, "verify", "--suite", "lemmas", "--max-n", "4")
-        for jobs in ("2", "3", "1000000"):
-            code, out, _ = run_cli(capsys, "verify", "--suite", "lemmas", "--max-n", "4", "--jobs", jobs)
-            assert code == 0 and out == base
-        assert seen[2:] and set(seen[2:]) <= {2, 3, 4}
-        pools = len(seen)
+        above = verify._POOL_BREAK_EVEN_US + 1
+        workers = verify._Workers(10**6)
+        assert workers.workers == 4  # capped by the CPUs the process may use
+        assert workers.map(abs, [-1], above) == [1]  # one item runs here
+        assert workers.map(abs, [-1, -2], above // 2) == [1, 2]  # at the break-even, here too
+        assert stub_pools.pools == []
+        assert workers.map(abs, [-1, -2, -3], above) == [1, 2, 3]
+        assert workers.map(abs, range(-9, 0), above) == list(range(9, 0, -1))
+        workers.close()
+        assert stub_pools.pools == [4] and stub_pools.maps == 2  # one pool serves both maps
+        assert verify._Workers(3).workers == 3
+        monkeypatch.delattr(verify.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
+        assert verify._Workers(10**6).workers == 2
         monkeypatch.setattr(verify.os, "cpu_count", lambda: None)
-        assert verify._pmap(abs, [-1, -2], 10**6) == [1, 2]
-        assert len(seen) == pools  # an unknown CPU count runs serially
+        assert verify._Workers(10**6).map(abs, [-1, -2], above) == [1, 2]
+        assert stub_pools.pools == [4]  # an unknown CPU count runs serially
+
+    def test_small_maps_start_no_pool(self, capsys, stub_pools):
+        _, base, _ = run_cli(capsys, "verify", "--suite", "lemmas", "--max-n", "4", "--jobs", "1")
+        code, out, _ = run_cli(capsys, "verify", "--suite", "lemmas", "--max-n", "4", "--jobs", "2")
+        assert code == 0 and out == base
+        assert stub_pools.pools == []
+
+    def test_one_pool_per_run(self, capsys, stub_pools):
+        argv = ["verify", "--suite", "semisimple", "--suite", "defect0", "--max-l", "3", "--max-n", "4"]
+        _, base, _ = run_cli(capsys, *argv, "--jobs", "1")
+        assert stub_pools.pools == []
+        code, out, _ = run_cli(capsys, *argv, "--jobs", "2")
+        assert code == 0 and out == base
+        assert stub_pools.pools == [2] and stub_pools.maps == 2
+
+    def test_one_cpu_maps_serially(self, capsys, monkeypatch, stub_pools):
+        import ariki.verify as verify
+
+        monkeypatch.setattr(verify.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        argv = ["verify", "--suite", "defect0", "--max-l", "3", "--max-n", "4"]
+        _, base, _ = run_cli(capsys, *argv, "--jobs", "1")
+        code, out, _ = run_cli(capsys, *argv, "--jobs", "2")
+        assert code == 0 and out == base
+        assert stub_pools.pools == []
+
+    @pytest.mark.parametrize(
+        "scope, pools",
+        [(["lemmas", "--max-n", "4"], 0), (["defect0", "--max-l", "3", "--max-n", "4"], 1)],
+    )
+    def test_pooled_output_identical_and_no_process_left(self, capsys, forked_pools, scope, pools):
+        _, base, _ = run_cli(capsys, "verify", "--suite", *scope, "--jobs", "1")
+        code, out, _ = run_cli(capsys, "verify", "--suite", *scope, "--jobs", "2")
+        assert code == 0 and out == base
+        assert forked_pools == [2] * pools
+        assert multiprocessing.active_children() == []
+
+    def test_worker_error_leaves_no_process(self, capsys, monkeypatch, forked_pools):
+        import ariki.verify as verify
+
+        honest = verify.is_defect_zero
+
+        def broken(lam, e, v):
+            if multipartition_to_json(lam) == "[[1],[1],[1]]":
+                raise InternalError("forged integrity failure")
+            return honest(lam, e, v)
+
+        monkeypatch.setattr(verify, "is_defect_zero", broken)
+        code, out, err = run_cli(capsys, "verify", "--suite", "defect0", "--max-l", "3", "--max-n", "4", "--jobs", "2")
+        assert (code, out) == (1, "")
+        assert err == "internal error: forged integrity failure\n"
+        assert forked_pools == [2]
+        assert multiprocessing.active_children() == []
 
     def test_failure_in_a_pooled_suite(self, capsys, monkeypatch):
         import ariki.verify as verify
