@@ -179,6 +179,8 @@ def _print_routes(values: dict[str, str], as_json: bool) -> int:
 def _cmd_schur(args) -> int:
     lam = args.lam
     L = args.symbol_size
+    if L is not None and L < 0:
+        raise FlagError("--symbol-size must be >= 0")
     if L is not None and L > MAX_SYMBOL_SIZE:
         raise FlagError(
             f"--symbol-size {L} is above the cap of {MAX_SYMBOL_SIZE}; "

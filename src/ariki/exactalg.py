@@ -12,7 +12,11 @@ Three rings, all with arbitrary-precision integer data and canonical forms:
 ``product_divide`` expands a product of MultiLaurent factors on packed
 integer monomials whose field width is sized per call.  It only
 multiplies: the Schur formulas cancel their quotients factor by factor
-before they expand.
+before they expand.  A top field above the exponent fields holds each
+monomial's total degree, so the int order of packed keys is graded-lex
+order, and the product's terms come out in descending graded-lex order:
+the order ``MultiLaurent.render`` prints, whose sort is then one linear
+pass.  Both unpack and format column by column, one variable at a time.
 
 ``SpecMap`` describes a ring homomorphism sending q and each Q_j to a root
 of unity times a power of u; ``specialise`` applies it.
@@ -34,17 +38,13 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 from typing import Iterable, Mapping
 
 from .errors import DomainError, InexactDivisionError
 
 # ---------------------------------------------------------------------------
 # Multivariate Laurent polynomials over Z
-
-
-def _monomial_key(exps: tuple[int, ...]) -> tuple:
-    # Graded lexicographic, usable on raw (possibly negative) exponents.
-    return (sum(exps), exps)
 
 
 class MultiLaurent:
@@ -159,30 +159,26 @@ class MultiLaurent:
         without ^, and a coefficient of 1 is dropped unless the monomial is
         empty.
         """
-        if not self.terms:
+        terms = self.terms
+        if not terms:
             return "0"
-        parts: list[str] = []
+        # Already in order when the terms come from product_divide, and then
+        # the sort is one linear pass.
+        keys = [exps for _, exps in sorted(zip(map(sum, terms), terms), reverse=True)]
+        # Column by column: every term is " + c" or " - c", then "*name^e" per
+        # nonzero exponent, each string looked up in a table of that column's
+        # distinct values.
+        signed = {c: f" + {c}" if c > 0 else f" - {-c}" for c in set(terms.values())}
+        cols = [map(signed.__getitem__, map(terms.__getitem__, keys))]
         names = ["q"] + [f"Q{j}" for j in range(self.l)]
-        for exps in sorted(self.terms, key=_monomial_key, reverse=True):
-            c = self.terms[exps]
-            factors: list[str] = []
-            for name, e in zip(names, exps):
-                if e == 0:
-                    continue
-                factors.append(name if e == 1 else f"{name}^{e}")
-            mono = "*".join(factors)
-            mag = abs(c)
-            if mono and mag == 1:
-                body = mono
-            elif mono:
-                body = f"{mag}*{mono}"
-            else:
-                body = str(mag)
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
+        for name, col in zip(names, zip(*keys)):
+            table = {e: "" if e == 0 else f"*{name}" if e == 1 else f"*{name}^{e}" for e in set(col)}
+            cols.append(map(table.__getitem__, col))
+        text = "".join(map("".join, zip(*cols)))
+        # A unit coefficient is dropped before a monomial.  The only spaces
+        # are those around signs, so " + 1*" is always a whole coefficient 1.
+        text = text.replace(" + 1*", " + ").replace(" - 1*", " - ")
+        return text[3:] if text[1] == "+" else f"-{text[3:]}"
 
 
 def _mul_packed(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
@@ -211,8 +207,11 @@ def product_divide(l: int, factors: Iterable[MultiLaurent]) -> MultiLaurent:
 
     Every factor is translated once to packed monomials: its exponents,
     shifted so that the least exponent of each variable is 0, in fields of
-    ``bits`` bits, e_q most significant, so adding keys multiplies
-    monomials.  A zero factor gives zero.
+    ``bits`` bits, e_q most significant, under a top field that holds the
+    term's total shifted degree.  Adding keys multiplies monomials, and the
+    int order of keys is graded-lex order.  The result's terms are stored in
+    descending graded-lex order, the order ``render`` prints.  A zero factor
+    gives zero.
     """
     width = l + 1
     operands = []
@@ -227,24 +226,33 @@ def product_divide(l: int, factors: Iterable[MultiLaurent]) -> MultiLaurent:
         lo = tuple(map(min, cols))
         spread += sum(map(max, cols)) - sum(lo)
         shift = list(map(operator.add, shift, lo))
-        operands.append((f.terms, lo))
-    # Every shifted exponent of the product lies in [0, spread], spread being
-    # the sum of the factors' exponent spreads, so spread.bit_length() bits
-    # hold it and no sum of keys carries from one field into the next.
+        operands.append((f.terms, lo, sum(lo)))
+    # Every shifted exponent of the product, and its shifted total degree,
+    # lies in [0, spread], spread being the sum of the factors' exponent
+    # spreads, so spread.bit_length() bits hold it and no sum of keys carries
+    # from one field into the next.
     bits = spread.bit_length()
     acc: dict[int, int] = {0: 1}
-    for terms, lo in operands:
+    for terms, lo, lo_degree in operands:
         packed: dict[int, int] = {}
         for exps, c in terms.items():
-            key = 0
+            key = sum(exps) - lo_degree
             for e, s in zip(exps, lo):
                 key = (key << bits) | (e - s)
             packed[key] = c
         acc = _mul_packed(acc, packed)
+    keys = sorted(acc, reverse=True)
     mask = (1 << bits) - 1
-    offsets = [bits * (width - 1 - i) for i in range(width)]
-    out = {tuple(((key >> o) & mask) + s for o, s in zip(offsets, shift)): c for key, c in acc.items()}
-    return MultiLaurent(l, out)
+    cols = [
+        map(s.__add__, map(mask.__and__, map(operator.rshift, keys, repeat(bits * (width - 1 - i)))))
+        for i, s in enumerate(shift)
+    ]
+    # Every key unpacks to l + 1 fields and _mul_packed stores no zero, so
+    # the validating constructor is skipped.
+    res = MultiLaurent.__new__(MultiLaurent)
+    res.l = l
+    res.terms = dict(zip(zip(*cols), map(acc.__getitem__, keys)))
+    return res
 
 
 # ---------------------------------------------------------------------------

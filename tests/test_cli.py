@@ -133,6 +133,40 @@ class TestSchurCommand:
         assert code == 2 and out == ""
         assert "cap of 1000" in err and "does not depend on L" in err
 
+    @pytest.mark.parametrize("formula", ["cancel", "mathas", "gim", "all"])
+    def test_negative_symbol_size_is_a_flag_error(self, capsys, formula):
+        code, out, err = run_cli(
+            capsys, "schur", "--lambda", "[[2],[1]]", "--formula", formula, "--symbol-size", "-3"
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: --symbol-size must be >= 0\n"
+
+    def test_symbol_size_zero_fits_the_empty_multipartition(self, capsys):
+        code, out, _ = run_cli(capsys, "schur", "--lambda", "[[],[]]", "--formula", "gim", "--symbol-size", "0")
+        assert (code, out) == (0, "1\n")
+
+    @pytest.mark.parametrize(
+        "argv, digests",
+        [
+            ("--lambda [[2,1],[],[1,1],[]] --formula all --symbol-size 5",
+             ("42b8c7cdfdb4543cf63fe2a627efdd2e93d331ffb9743e2be4137929a488720b",
+              "a2201d38ee29b8a8542bf9dae4d8af920e1f8c49819631d00f1d5644a8868180")),
+            # 13,894 terms per formula.
+            ("--lambda [[2,1],[1,1],[1],[1]] --formula all",
+             ("d4f7ed40c1354b7685c86e3cdb790555ff2199171c6ac6a04e479a99e2e3f440",
+              "ce8b798bb13c0d61f0eee13f1e8c0da112374df05b05de9a78d455da602eb3a0")),
+        ],
+    )
+    def test_rendered_bytes_are_pinned(self, argv, digests):
+        # sha256 of stdout, as text and as --json, as the term-by-term renderer printed it.
+        for extra, digest in zip(([], ["--json"]), digests):
+            proc = subprocess.run(
+                [sys.executable, "-m", "ariki.cli", "schur", *argv.split(), *extra],
+                capture_output=True, timeout=60,
+            )
+            assert proc.returncode == 0, proc.stderr
+            assert hashlib.sha256(proc.stdout).hexdigest() == digest, extra
+
     def test_all_expands_and_renders_once(self, capsys, monkeypatch):
         calls, renders = [], []
 
@@ -284,6 +318,18 @@ class TestSemisimpleCommand:
             assert obj["thetaP"] == "0"
         else:
             assert hashlib.sha256(obj["thetaP"].encode()).hexdigest() == digest
+
+    def test_conductor_above_the_cap_is_refused(self):
+        # N = lcm(3, 1000000007) = 3000000021: without the cap, thetaP would
+        # allocate a row of N ints.  The verdict alone needs no row.
+        argv = [sys.executable, "-m", "ariki.cli", "semisimple",
+                "--l", "3", "--n", "5", "--e", "1000000007", "--r", "1", "--charges", "0,17,33"]
+        proc = subprocess.run([*argv, "--json"], capture_output=True, text=True, timeout=10)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert "3000000021" in proc.stderr and "l = 3" in proc.stderr and "e = 1000000007" in proc.stderr
+        assert f"cap of {schur.MAX_CONDUCTOR}" in proc.stderr
+        proc = subprocess.run(argv, capture_output=True, text=True, timeout=10)
+        assert (proc.returncode, proc.stdout) == (0, "SEMISIMPLE\n")
 
     def test_gcd_constraint_named(self, capsys):
         code, _, err = run_cli(

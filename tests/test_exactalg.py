@@ -145,10 +145,77 @@ class TestExactDivide:
         chained = MultiLaurent.one(l)
         for f in factors:
             chained = chained * f
-        assert product_divide(l, factors) == chained
+        product = product_divide(l, factors)
+        assert product == chained
+        # Terms come out in render order: descending graded-lex.
+        assert list(product.terms) == sorted(product.terms, key=_graded_lex, reverse=True)
+        assert product.render() == _ref_render(product)
+
+
+def _graded_lex(exps):
+    return (sum(exps), exps)
+
+
+def _ref_render(f):
+    """Term-by-term rendering: sort by a key function, then format each factor of each term."""
+    if not f.terms:
+        return "0"
+    parts = []
+    names = ["q"] + [f"Q{j}" for j in range(f.l)]
+    for exps in sorted(f.terms, key=_graded_lex, reverse=True):
+        c = f.terms[exps]
+        factors = []
+        for name, e in zip(names, exps):
+            if e == 0:
+                continue
+            factors.append(name if e == 1 else f"{name}^{e}")
+        mono = "*".join(factors)
+        mag = abs(c)
+        if mono and mag == 1:
+            body = mono
+        elif mono:
+            body = f"{mag}*{mono}"
+        else:
+            body = str(mag)
+        if not parts:
+            parts.append(body if c > 0 else f"-{body}")
+        else:
+            parts.append(f"+ {body}" if c > 0 else f"- {body}")
+    return " ".join(parts)
+
+
+@st.composite
+def render_cases(draw):
+    """Any MultiLaurent with l <= 4: exponents in [-4, 4], mostly 0 and 1, unit and larger
+    coefficients, the constant term present or not, the leading term of either sign."""
+    l = draw(st.integers(0, 4))
+    exponent = st.one_of(st.sampled_from([0, 0, 1]), st.integers(-4, 4))
+    coeff = st.one_of(st.sampled_from([1, -1]), st.integers(-120, 120))
+    terms = draw(st.dictionaries(st.tuples(*[exponent] * (l + 1)), coeff, max_size=12))
+    constant = (0,) * (l + 1)
+    if draw(st.booleans()):
+        terms[constant] = draw(coeff)
+    else:
+        terms.pop(constant, None)
+    f = MultiLaurent(l, terms)
+    if f.terms and draw(st.booleans()):
+        lead = max(f.terms, key=_graded_lex)
+        f.terms[lead] = -abs(f.terms[lead])
+    return f
 
 
 class TestRender:
+    @given(render_cases())
+    @settings(max_examples=500, deadline=None)
+    def test_matches_term_by_term_rendering(self, f):
+        assert f.render() == _ref_render(f)
+
+    def test_coefficients_near_one(self):
+        f = MultiLaurent(1, {(1, 0): 11, (0, 1): -1, (0, 0): -1, (-1, -1): 1, (2, -1): -21})
+        assert f.render() == _ref_render(f) == "-21*q^2*Q0^-1 + 11*q - Q0 - 1 + q^-1*Q0^-1"
+        assert MultiLaurent(0, {(0,): -1}).render() == "-1"
+        assert MultiLaurent(0, {(1,): -1, (0,): 1}).render() == "-q + 1"
+
     def test_golden(self):
         f = MultiLaurent(2, {(2, 1, 0): 1, (0, 0, 1): -1, (0, 0, 0): 1})
         assert f.render() == "q^2*Q0 - Q1 + 1"

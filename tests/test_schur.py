@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ariki import schur
 from ariki.combinatorics import (
     ChargeData,
     Partition,
@@ -13,7 +14,7 @@ from ariki.combinatorics import (
     partitions_of,
 )
 from ariki.errors import DomainError, InternalError
-from ariki.exactalg import MultiLaurent, specialise
+from ariki.exactalg import CycloLaurent, MultiLaurent, specialise
 from ariki.schur import (
     CycloSpec,
     _cancellation_free_factors,
@@ -360,6 +361,17 @@ class TestSemisimplicity:
     def test_invalid_rank(self):
         with pytest.raises(DomainError):
             is_semisimple(CycloSpec(5, 1, 1, (0,)), 1, 0)
+
+    def test_conductor_cap(self, monkeypatch):
+        semisimple, not_semisimple = CycloSpec(50, 1, 1, (0, 17, 33)), CycloSpec(12, 1, 6, (3, -1, -2))
+        monkeypatch.setattr(schur, "MAX_CONDUCTOR", 150)
+        assert theta_p(semisimple, 3, 4).n == 150
+        monkeypatch.setattr(schur, "MAX_CONDUCTOR", 149)
+        with pytest.raises(DomainError, match=r"N = lcm\(l, e\) = 150 for l = 3, e = 50 .* cap of 149"):
+            theta_p(semisimple, 3, 4)
+        # A vanishing criterion needs no work of size N.
+        monkeypatch.setattr(schur, "MAX_CONDUCTOR", 11)
+        assert theta_p(not_semisimple, 3, 2) == CycloLaurent.zero(12)
 
     def test_verdicts(self, schur_scan):
         cases = (
