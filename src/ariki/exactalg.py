@@ -9,14 +9,18 @@ Three rings, all with arbitrary-precision integer data and canonical forms:
 * ``CycloLaurent`` -- Laurent polynomials in one variable u with
   CyclotomicInt coefficients.
 
-``product_divide`` expands a product of MultiLaurent factors on packed
-integer monomials whose field width is sized per call.  It only
-multiplies: the Schur formulas cancel their quotients factor by factor
-before they expand.  A top field above the exponent fields holds each
-monomial's total degree, so the int order of packed keys is graded-lex
-order, and the product's terms come out in descending graded-lex order:
-the order ``MultiLaurent.render`` prints, whose sort is then one linear
-pass.  Both unpack and format column by column, one variable at a time.
+``product_divide`` expands a product of MultiLaurent factors sparse in the
+Q's and dense in q.  The Schur formulas' factors are Phi_d(q) and binomials
+q^h Q_s Q_t^(-1) - 1, so a product has few Q-monomials, each with a run of
+q-terms.  A partial product maps each packed Q-exponent vector to its
+q-polynomial, held as one int with a signed B-bit field per power of q
+(Kronecker substitution in q only); B is sized from the product of the
+factors' L1 norms, which bounds every coefficient.  It only multiplies: the
+Schur formulas cancel their quotients factor by factor before they expand.
+The result is decoded from one array of signed words, and its terms come
+out in descending graded-lex order: the order ``MultiLaurent.render``
+prints, whose sort is then one linear pass.  ``render`` formats column by
+column, one variable at a time.
 
 ``SpecMap`` describes a ring homomorphism sending q and each Q_j to a root
 of unity times a power of u; ``specialise`` applies it.
@@ -36,9 +40,10 @@ one linear multiplication or exact division per binomial.
 from __future__ import annotations
 
 import operator
+import sys
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import repeat
 from typing import Iterable, Mapping
 
 from .errors import DomainError, InexactDivisionError
@@ -181,19 +186,13 @@ class MultiLaurent:
         return text[3:] if text[1] == "+" else f"-{text[3:]}"
 
 
-def _mul_packed(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
-    if len(a) > len(b):
-        a, b = b, a
-    out: dict[int, int] = {}
-    for ka, ca in a.items():
-        for kb, cb in b.items():
-            k = ka + kb
-            v = out.get(k, 0) + ca * cb
-            if v:
-                out[k] = v
-            elif k in out:
-                del out[k]
-    return out
+# Signed array typecodes by word size in bytes.
+_SIGNED_WORDS = {array(code).itemsize: code for code in "bhilq"}
+
+# q stays in the rows while the factors' term counts multiply to at least
+# this many per field of a row; below that, most fields would be zero, so q
+# goes into the key and a row is one term.
+_TERM_PRODUCTS_PER_ROW_FIELD = 4
 
 
 def product_divide(l: int, factors: Iterable[MultiLaurent]) -> MultiLaurent:
@@ -205,53 +204,119 @@ def product_divide(l: int, factors: Iterable[MultiLaurent]) -> MultiLaurent:
     ``schur.product_divide`` and keys its ``exactalg.product_divide.*``
     metrics on it.
 
-    Every factor is translated once to packed monomials: its exponents,
-    shifted so that the least exponent of each variable is 0, in fields of
-    ``bits`` bits, e_q most significant, under a top field that holds the
-    term's total shifted degree.  Adding keys multiplies monomials, and the
-    int order of keys is graded-lex order.  The result's terms are stored in
-    descending graded-lex order, the order ``render`` prints.  A zero factor
-    gives zero.
+    A partial product is a dict from keys to rows.  A key packs a
+    Q-monomial's exponents, shifted so that the least exponent of each
+    variable is 0, in fields of ``bits`` bits, under a top field that holds
+    minus their total (the Q-degree): adding keys multiplies Q-monomials.
+    A row is that Q-monomial's q-polynomial, shifted to least q exponent 0,
+    as one int with a signed field of B bits per power of q (Kronecker
+    substitution in q only).  A factor step multiplies every row of the
+    product by every row of the factor.
+
+    The product of the factors' L1 norms (sums of absolute coefficients)
+    bounds every coefficient of every partial product, and B is the least
+    of 8, 16, 32 and 64 bits, or past that of the powers of two bytes, that
+    holds it as a signed field.  To decode, 2^(B-1) is added to every field,
+    so that no negative field borrows from the next, and XORed back, which
+    leaves each field in two's complement: one ``array`` of signed words
+    holds every coefficient.  Each row is shifted up by its Q-degree above
+    the lowest, so that a column of this grid holds one total degree.
+    Descending keys put the rows in ascending Q-degree, so reading the
+    columns from the highest total degree down gives descending graded-lex
+    order, the order ``render`` prints, with no sort of the terms.
+
+    When the factors' term counts multiply to fewer than
+    ``_TERM_PRODUCTS_PER_ROW_FIELD`` per power of q in a row, rows would be
+    mostly zero fields (products sparse in q, or a spread like q^(2^40)).
+    Then q goes into the key as well, the top field holds the total degree,
+    so that descending keys are in descending graded-lex order, and every
+    row is a single coefficient: the same steps then allocate nothing in
+    proportion to the q-spread.  A zero factor gives zero.
     """
     width = l + 1
     operands = []
     shift = [0] * width
-    spread = 0
+    spread = q_spread = 0
+    n_products = 1
+    bound = 1
     for f in factors:
         if f.l != l:
             raise DomainError(f"mixed variable counts: {f.l} != {l}")
-        if f.is_zero():
+        terms = f.terms
+        if not terms:
             return MultiLaurent.zero(l)
-        cols = tuple(zip(*f.terms))
+        cols = tuple(zip(*terms))
         lo = tuple(map(min, cols))
-        spread += sum(map(max, cols)) - sum(lo)
+        hi = tuple(map(max, cols))
+        spread += sum(hi) - sum(lo)
+        q_spread += hi[0] - lo[0]
+        bound *= sum(map(abs, terms.values()))
+        n_products *= len(terms)
         shift = list(map(operator.add, shift, lo))
-        operands.append((f.terms, lo, sum(lo)))
+        operands.append((terms, lo))
     # Every shifted exponent of the product, and its shifted total degree,
-    # lies in [0, spread], spread being the sum of the factors' exponent
-    # spreads, so spread.bit_length() bits hold it and no sum of keys carries
-    # from one field into the next.
+    # lies in [0, spread], so no sum of keys carries from one field into the
+    # next.
     bits = spread.bit_length()
-    acc: dict[int, int] = {0: 1}
-    for terms, lo, lo_degree in operands:
+    nb = 1 << max(0, bound.bit_length().bit_length() - 3)
+    B = 8 * nb
+    deg_shift = bits * width
+    if _TERM_PRODUCTS_PER_ROW_FIELD * (q_spread + 1) <= n_products:
+        row_len, row_shift = q_spread + 1, B
+        weights = [0] + [(1 << bits * (l - j)) - (1 << deg_shift) for j in range(1, width)]
+    else:
+        row_len, row_shift = 1, 0
+        weights = [(1 << deg_shift) + (1 << bits * (l - j)) for j in range(width)]
+    mul = operator.mul
+    acc = {0: 1}
+    for terms, lo in operands:
         packed: dict[int, int] = {}
+        get = packed.get
+        base = sum(map(mul, lo, weights))
+        lo_q = lo[0]
         for exps, c in terms.items():
-            key = sum(exps) - lo_degree
-            for e, s in zip(exps, lo):
-                key = (key << bits) | (e - s)
-            packed[key] = c
-        acc = _mul_packed(acc, packed)
+            key = sum(map(mul, exps, weights)) - base
+            packed[key] = get(key, 0) + (c << (exps[0] - lo_q) * row_shift)
+        out: dict[int, int] = {}
+        out_get = out.get
+        for ka, ra in acc.items():
+            for kb, rb in packed.items():
+                k = ka + kb
+                v = out_get(k, 0) + ra * rb
+                if v:
+                    out[k] = v
+                elif k in out:
+                    del out[k]
+        acc = out
     keys = sorted(acc, reverse=True)
+    top = keys[0] >> deg_shift
+    skews = [top - (k >> deg_shift) for k in keys] if row_shift else [0] * len(keys)
+    n_cols = row_len + skews[-1]
+    offset = (1 << B - 1) * (((1 << B * row_len) - 1) // ((1 << B) - 1))
+    row_bytes = n_cols * nb
+    rows = zip(skews, map(acc.__getitem__, keys))
+    buf = b"".join([(((v + offset) ^ offset) << o * B).to_bytes(row_bytes, sys.byteorder) for o, v in rows])
+    if nb <= 8:
+        coeffs = array(_SIGNED_WORDS[nb], buf)
+    else:
+        coeffs = [int.from_bytes(buf[i:i + nb], sys.byteorder, signed=True) for i in range(0, len(buf), nb)]
+    # The key fields, each as a run of len(keys) values: q, then each Q_j.
+    n = len(keys)
     mask = (1 << bits) - 1
-    cols = [
-        map(s.__add__, map(mask.__and__, map(operator.rshift, keys, repeat(bits * (width - 1 - i)))))
-        for i, s in enumerate(shift)
-    ]
-    # Every key unpacks to l + 1 fields and _mul_packed stores no zero, so
+    fields = [(k >> pos & mask) + s for pos, s in zip(map(bits.__mul__, range(l, -1, -1)), shift) for k in keys]
+    # Per row, the q exponent in grid column 0 and the tuple of Q exponents.
+    lead = list(map(operator.sub, fields[:n], skews))
+    Qts = list(zip(*[fields[i:i + n] for i in range(n, width * n, n)])) or [()] * n
+    # Every key has l + 1 fields and the loop above stores no zero row, so
     # the validating constructor is skipped.
     res = MultiLaurent.__new__(MultiLaurent)
     res.l = l
-    res.terms = dict(zip(zip(*cols), map(acc.__getitem__, keys)))
+    res.terms = {
+        (c + j,) + Qt: v
+        for j in range(n_cols - 1, -1, -1)
+        for c, Qt, v in zip(lead, Qts, coeffs[j::n_cols])
+        if v
+    }
     return res
 
 

@@ -538,7 +538,8 @@ def verify_fuzz():
         if a.is_zero() or b.is_zero():
             continue
         done += 1
-        # the packed product kernel against the tuple-keyed MultiLaurent.__mul__
+        # the product kernel (per Q-monomial, one Kronecker-packed q-polynomial)
+        # against the tuple-keyed MultiLaurent.__mul__
         same = product_divide(l, (a, b)) == a * b
         yield 1, None if same else f"packed product differs for ({a.render()}) * ({b.render()})"
 

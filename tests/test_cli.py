@@ -155,6 +155,10 @@ class TestSchurCommand:
             ("--lambda [[2,1],[1,1],[1],[1]] --formula all",
              ("d4f7ed40c1354b7685c86e3cdb790555ff2199171c6ac6a04e479a99e2e3f440",
               "ce8b798bb13c0d61f0eee13f1e8c0da112374df05b05de9a78d455da602eb3a0")),
+            # 44,112 terms.
+            ("--lambda [[3,2],[2],[1],[1]] --formula cancel",
+             ("72d51356a186695b9ffbf48e2df3d1435bbda8eb0b560e0c3ef88f7fd037c88c",
+              "d88f51952426fce58f23a90e7cd66725f2b0d6354048db3cef5004edfd8857d4")),
         ],
     )
     def test_rendered_bytes_are_pinned(self, argv, digests):

@@ -100,6 +100,49 @@ def factor_lists(draw):
     return l, draw(st.lists(factor, max_size=4))
 
 
+# Magnitudes whose signed fields need 8, 16, 32, 64 and more than 64 bits.
+_FIELD_EDGES = (2**7, 2**15, 2**31, 2**63, 2**90)
+
+
+@st.composite
+def kernel_cases(draw):
+    """(l, factors) for the packed kernel's edge cases.
+
+    l is 1 to 4.  A factor is a run of consecutive powers of q times one
+    Q-monomial, or terms spread over several Q-monomials, or zero; exponents
+    may be negative, and runs make products dense in q over rows of unequal
+    Q-degree.  Coefficients reach just below or above a word edge, and the
+    leading term of a factor is made negative half the time, so that fields
+    borrow.
+    """
+    l = draw(st.integers(1, 4))
+    edge = draw(st.sampled_from(_FIELD_EDGES))
+    coeff = st.one_of(
+        st.integers(-3, 3),
+        st.sampled_from([edge - 1, edge, -edge, -edge - 1]),
+        st.integers(-edge, edge),
+    )
+    exponent = st.integers(-5, 5)
+
+    def factor():
+        kind = draw(st.sampled_from(["q-run", "q-run", "spread", "spread", "zero"]))
+        if kind == "zero":
+            return MultiLaurent.zero(l)
+        if kind == "q-run":
+            Q = tuple(draw(st.lists(exponent, min_size=l, max_size=l)))
+            start = draw(exponent)
+            terms = {(start + i,) + Q: draw(coeff) for i in range(draw(st.integers(1, 5)))}
+        else:
+            terms = draw(st.dictionaries(st.tuples(*[exponent] * (l + 1)), coeff, min_size=1, max_size=4))
+        f = MultiLaurent(l, terms)
+        if f.terms and draw(st.booleans()):
+            lead = max(f.terms, key=_graded_lex)
+            f.terms[lead] = -abs(f.terms[lead])
+        return f
+
+    return l, [factor() for _ in range(draw(st.integers(0, 5)))]
+
+
 class TestExactDivide:
     """product_divide, and the exact binomial division left in cyclotomic_polynomial."""
 
@@ -150,6 +193,61 @@ class TestExactDivide:
         # Terms come out in render order: descending graded-lex.
         assert list(product.terms) == sorted(product.terms, key=_graded_lex, reverse=True)
         assert product.render() == _ref_render(product)
+
+    @given(kernel_cases())
+    @settings(max_examples=400, deadline=None)
+    def test_product_divide_edge_cases_match_chained_mul(self, case):
+        l, factors = case
+        chained = MultiLaurent.one(l)
+        for f in factors:
+            chained = chained * f
+        product = product_divide(l, factors)
+        assert product == chained
+        assert list(product.terms) == sorted(product.terms, key=_graded_lex, reverse=True)
+
+    def test_dense_rows_of_unequal_Q_degree(self):
+        # Rows of Q-degree 1 to 4, each a run of powers of q: the term
+        # counts multiply to 256 against 10 powers of q, so q stays in the
+        # rows, and each row is shifted by its Q-degree in the grid.
+        run = MultiLaurent(2, {(0, 0, 0): 1, (1, 0, 0): 2, (2, 0, 0): 3, (3, 0, 0): 1})
+        mixed = MultiLaurent(2, {(1, 1, 0): 1, (0, 1, 0): 1, (1, 2, 1): 1, (0, 2, 1): -2})
+        low = MultiLaurent(2, {(0, 0, 0): 1, (1, 0, 0): 1, (2, 0, 1): 1, (1, 0, 1): -1})
+        product = product_divide(2, [run, mixed, low, run])
+        assert product == run * mixed * low * run
+        assert list(product.terms) == sorted(product.terms, key=_graded_lex, reverse=True)
+
+    @pytest.mark.parametrize("edge", _FIELD_EDGES)
+    def test_coefficients_at_word_edges(self, edge):
+        # The bound of a one-term factor is its coefficient, which then
+        # fills the field chosen for it; the other products cross the next
+        # edge by a little.
+        for c in (edge - 1, edge, -edge, -edge - 1):
+            alone = MultiLaurent(2, {(3, -1, 0): c})
+            spread = MultiLaurent(2, {(2, 1, -1): c, (0, 0, 0): -c, (-1, 0, 1): 1})
+            q_minus_1 = MultiLaurent(2, {(1, 0, 0): 1, (0, 0, 0): -1})
+            cross = MultiLaurent(2, {(1, 1, -1): 1, (0, 0, 0): -1})
+            for factors in ([alone], [spread], [spread, q_minus_1], [cross, spread, spread], [alone, spread]):
+                chained = MultiLaurent.one(2)
+                for f in factors:
+                    chained = chained * f
+                product = product_divide(2, factors)
+                assert product == chained, (c, factors)
+                assert list(product.terms) == sorted(product.terms, key=_graded_lex, reverse=True)
+
+    def test_wide_q_spread_over_several_Q_monomials(self):
+        # (q^(2^40) Q0 + 1)(q Q0^(-1) - 1): q spreads over 2^40 and the
+        # product has three Q-monomials.  Rows of 2^40 fields would not fit
+        # in memory, so this returns quickly only if q moves into the key.
+        code = (
+            "from ariki.exactalg import MultiLaurent, product_divide\n"
+            "a = MultiLaurent(1, {(2**40, 1): 1, (0, 0): 1})\n"
+            "b = MultiLaurent(1, {(1, -1): 1, (0, 0): -1})\n"
+            "p = product_divide(1, [a, b])\n"
+            "print(p == a * b, list(p.terms) == sorted(p.terms, key=lambda e: (sum(e), e), reverse=True))\n"
+        )
+        for flags in ([], ["-O"]):
+            proc = subprocess.run([sys.executable, *flags, "-c", code], capture_output=True, text=True, timeout=30)
+            assert proc.stdout == "True True\n", (flags, proc.stderr)
 
 
 def _graded_lex(exps):
