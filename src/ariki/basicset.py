@@ -7,6 +7,11 @@ from the empty multipartition in a Fock-space crystal, then reassemble
 over all ways of distributing the rank.  For G(l,p,n) the resulting set
 is grouped into orbits of the cyclic component rotation.
 
+The classes and charges are read off the same exponents as the
+semisimplicity criterion: ``schur.zeta_exponents`` sends q to zeta_N^a
+and Q_j to zeta_N^(A_j), N = lcm(l, e), and every coincidence test and
+charge congruence here is arithmetic on (N, a, A) mod N.
+
 The crystal convention is pinned once and for all here:
 
 * a node in row i, column j of component c has residue
@@ -47,7 +52,7 @@ from .combinatorics import (
     sigma_action,
 )
 from .errors import DomainError, InternalError
-from .schur import CycloSpec, is_semisimple
+from .schur import CycloSpec, is_semisimple, zeta_exponents
 
 
 # ---------------------------------------------------------------------------
@@ -85,80 +90,63 @@ class UglovCharge:
     diagnostics: tuple[str, ...] = ()
 
 
-def _charge_rhs(spec: CycloSpec, l: int, i: int, j: int) -> int:
-    """(i - j)*e + k*l*(r_i - r_j), the right-hand side of the charge congruence mod l*e."""
-    return (i - j) * spec.e + spec.k * l * (spec.charges[i] - spec.charges[j])
+def _witness_exists(N: int, steps: set[int], A: list[int], i: int, j: int) -> bool:
+    # Q_i and q^d Q_j have one image for some -n < d < n: A_i - A_j is a step d*a mod N.
+    return (A[i] - A[j]) % N in steps
 
 
-def _witness_exists(spec: CycloSpec, l: int, n: int, i: int, j: int) -> bool:
-    # eta^(r d) == zeta_l^(i-j) eta^(r_i - r_j) for some -n < d < n,
-    # stated as an integer congruence mod l*e.
-    m_mod = l * spec.e
-    base = _charge_rhs(spec, l, i, j)
-    for d in range(-n + 1, n):
-        if (base - spec.k * l * spec.r * d) % m_mod == 0:
-            return True
-    return False
-
-
-def _solve_s(spec: CycloSpec, l: int, anchor: int, idx: int) -> int:
-    """Minimal-|s| solution of k*l*r*s == (idx-anchor)*e + k*l*(r_idx - r_anchor) mod l*e."""
-    m_mod = l * spec.e
-    c = _charge_rhs(spec, l, idx, anchor) % m_mod
-    a = spec.k * l * spec.r
-    g = math.gcd(a, m_mod)
+def _solve_s(N: int, a: int, c: int) -> int:
+    """Minimal-|s| solution of s*a == c mod N, ties going positive; its period is e'."""
+    g = math.gcd(a, N)
     if c % g != 0:
         raise InternalError("unsolvable charge congruence inside a connected class")
-    period = m_mod // g
+    period = N // g
     s0 = ((c // g) * pow(a // g, -1, period)) % period if period > 1 else 0
-    alt = s0 - period
-    if abs(alt) < abs(s0) or (abs(alt) == abs(s0) and alt > 0):
-        return alt
-    return s0
+    return min(s0, s0 - period, key=lambda s: (abs(s), -s))
 
 
 def dm_partition(spec: CycloSpec, l: int, n: int) -> DMPartition:
-    """Connected components of the coincidence graph, ordered by least element."""
-    if spec.level != l:
-        raise DomainError(f"specialisation has {spec.level} charges, expected {l}")
+    """Connected components of the coincidence graph, ordered by least element.
+
+    Every image is read as an exponent of zeta_N (``zeta_exponents``):
+    q -> zeta_N^a and Q_j -> zeta_N^(A_j).  Indices i and j are joined when
+    A_i = d*a + A_j mod N for some -n < d < n, and each class charge s_j
+    solves s_j*a = A_j - A_anchor mod N, so it is pinned modulo the order
+    e' = N / gcd(a, N) of q's image.
+    """
+    N, a, A = zeta_exponents(spec, l)
+    steps = {d * a % N for d in range(-n + 1, n)}
     adj = {i: set() for i in range(l)}
     for i in range(l):
         for j in range(i + 1, l):
-            if _witness_exists(spec, l, n, i, j):
+            if _witness_exists(N, steps, A, i, j):
                 adj[i].add(j)
                 adj[j].add(i)
-    seen: set[int] = set()
+    # Each search starts from the least index not yet in a class, so the
+    # classes come out ordered by least element.
     classes: list[tuple[int, ...]] = []
     for start in range(l):
-        if start in seen:
+        if any(start in cls for cls in classes):
             continue
-        stack, comp = [start], []
-        seen.add(start)
+        comp, stack = {start}, [start]
         while stack:
-            v = stack.pop()
-            comp.append(v)
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
+            new = adj[stack.pop()] - comp
+            comp |= new
+            stack += new
         classes.append(tuple(sorted(comp)))
-    classes.sort(key=lambda c: c[0])
 
     # Independent re-check of the defining property: no cross-class witness.
-    for a in range(len(classes)):
-        for b in range(a + 1, len(classes)):
-            for i in classes[a]:
-                for j in classes[b]:
-                    if _witness_exists(spec, l, n, i, j):
+    for x in range(len(classes)):
+        for y in range(x + 1, len(classes)):
+            for i in classes[x]:
+                for j in classes[y]:
+                    if _witness_exists(N, steps, A, i, j):
                         raise InternalError(f"cross-class witness between components {i} and {j}")
 
-    e_prime = spec.e // math.gcd(spec.e, spec.r)
-    s_vectors = tuple(
-        tuple(_solve_s(spec, l, cls[0], idx) for idx in cls) for cls in classes
-    )
+    s_vectors = tuple(tuple(_solve_s(N, a, A[idx] - A[cls[0]]) for idx in cls) for cls in classes)
     m = spec.charge_data().m
     m_residual = tuple(tuple(m[idx] for idx in cls) for cls in classes)
-    return DMPartition(tuple(classes), s_vectors, m_residual, e_prime)
+    return DMPartition(tuple(classes), s_vectors, m_residual, N // math.gcd(a, N))
 
 
 def charge_for(dm: DMPartition, class_index: int, spec: CycloSpec) -> UglovCharge:
@@ -166,10 +154,10 @@ def charge_for(dm: DMPartition, class_index: int, spec: CycloSpec) -> UglovCharg
     cls = dm.classes[class_index]
     s = dm.s_vectors[class_index]
     l = spec.level
-    m_mod = l * spec.e
+    N, a, A = zeta_exponents(spec, l)
     # Substitution check: each s_j really solves its congruence.
     for idx, sj in zip(cls, s):
-        if (spec.k * l * spec.r * sj - _charge_rhs(spec, l, idx, cls[0])) % m_mod != 0:
+        if (sj * a - A[idx] + A[cls[0]]) % N != 0:
             raise InternalError(f"s_{idx} = {sj} does not solve its charge congruence")
     diagnostics: list[str] = []
     eq4 = True

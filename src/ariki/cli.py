@@ -22,7 +22,7 @@ from .combinatorics import (
     a_value_combinatorial,
     a_value_hook_formula,
     enumerate_multipartitions,
-    multipartition_from_obj,
+    multipartition_from_json,
     multipartition_to_json,
     multipartition_to_obj,
 )
@@ -63,11 +63,7 @@ MAX_SYMBOL_SIZE = 1000
 
 def _lambda_arg(text: str) -> Multipartition:
     try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise argparse.ArgumentTypeError(f"bad multipartition literal: {exc}")
-    try:
-        return multipartition_from_obj(obj)
+        return multipartition_from_json(text)
     except DomainError as exc:
         raise argparse.ArgumentTypeError(str(exc))
 
@@ -77,6 +73,19 @@ def _int_list_arg(text: str) -> tuple[int, ...]:
         return tuple(int(x) for x in text.split(","))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers: {exc}")
+
+
+def _add_spec_flags(parser: argparse.ArgumentParser, gpn: bool = False) -> None:
+    """--l [--p] --n --e --k --r --charges --json, the flags of a specialised algebra."""
+    parser.add_argument("--l", type=int, required=True)
+    if gpn:
+        parser.add_argument("--p", type=int, required=True)
+    parser.add_argument("--n", type=int, required=True)
+    parser.add_argument("--e", type=int, required=True)
+    parser.add_argument("--k", type=int, default=1)
+    parser.add_argument("--r", type=int, required=True)
+    parser.add_argument("--charges", type=_int_list_arg, required=True)
+    parser.add_argument("--json", action="store_true")
 
 
 # Built once per process: the parser depends only on module constants, and
@@ -96,14 +105,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--symbol-size", type=int, default=None, help="L for the gim formula")
     p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("semisimple", help="semisimplicity of a specialised algebra")
-    p.add_argument("--l", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--e", type=int, required=True)
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--charges", type=_int_list_arg, required=True)
-    p.add_argument("--json", action="store_true")
+    _add_spec_flags(sub.add_parser("semisimple", help="semisimplicity of a specialised algebra"))
 
     p = sub.add_parser("defect0", help="defect-0 classification")
     p.add_argument("--l", type=int, default=None)
@@ -121,24 +123,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=["combinatorial", "hooks", "valuation", "all"], default="all")
     p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("basicset", help="canonical basic set for G(l,1,n)")
-    p.add_argument("--l", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--e", type=int, required=True)
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--charges", type=_int_list_arg, required=True)
-    p.add_argument("--json", action="store_true")
+    _add_spec_flags(sub.add_parser("basicset", help="canonical basic set for G(l,1,n)"))
 
-    p = sub.add_parser("basicset-gpn", help="orbit-labelled basic set for G(l,p,n)")
-    p.add_argument("--l", type=int, required=True)
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--e", type=int, required=True)
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--charges", type=_int_list_arg, required=True)
-    p.add_argument("--json", action="store_true")
+    _add_spec_flags(sub.add_parser("basicset-gpn", help="orbit-labelled basic set for G(l,p,n)"), gpn=True)
 
     p = sub.add_parser("verify", help="run verification suites")
     p.add_argument(
@@ -158,6 +145,23 @@ def _require_level(l: int | None) -> None:
     # Checked before the charges, whose count --l sets.
     if l is not None and l < 1:
         raise FlagError(f"--l must be >= 1, got {l}")
+
+
+def _spec_from_flags(args, p: int | None = None) -> CycloSpec:
+    """The CycloSpec of --e --k --r --charges, once --l, --p and the charge count are checked.
+
+    Without p the charges number l; with p they number l/p or l when p
+    divides l, and otherwise the library refuses p.
+    """
+    _require_level(args.l)
+    counts = (args.l,)
+    if p is not None:
+        if p < 1:
+            raise FlagError(f"--p must be >= 1, got {p}")
+        counts = (args.l // p, args.l) if args.l % p == 0 else ()
+    if counts and len(args.charges) not in counts:
+        raise FlagError(f"expected {' or '.join(map(str, counts))} charges, got {len(args.charges)}")
+    return CycloSpec(args.e, args.k, args.r, args.charges)
 
 
 def _print_routes(values: dict[str, str], as_json: bool) -> int:
@@ -200,10 +204,7 @@ def _cmd_schur(args) -> int:
 
 
 def _cmd_semisimple(args) -> int:
-    _require_level(args.l)
-    if len(args.charges) != args.l:
-        raise FlagError(f"expected {args.l} charges, got {len(args.charges)}")
-    spec = CycloSpec(args.e, args.k, args.r, args.charges)
+    spec = _spec_from_flags(args)
     text = "SEMISIMPLE" if is_semisimple(spec, args.l, args.n) else "NOT SEMISIMPLE"
     if args.json:
         value = theta_p(spec, args.l, args.n)
@@ -268,10 +269,7 @@ def _params_obj(spec: CycloSpec, l: int, n: int) -> dict:
 
 
 def _cmd_basicset(args) -> int:
-    _require_level(args.l)
-    if len(args.charges) != args.l:
-        raise FlagError(f"expected {args.l} charges, got {len(args.charges)}")
-    spec = CycloSpec(args.e, args.k, args.r, args.charges)
+    spec = _spec_from_flags(args)
     bs = assemble_basic_set(spec, args.l, args.n)
     for diag in bs.diagnostics:
         print(f"warning: {diag}", file=sys.stderr)
@@ -291,11 +289,7 @@ def _cmd_basicset(args) -> int:
 
 
 def _cmd_basicset_gpn(args) -> int:
-    _require_level(args.l)
-    d = args.l // args.p if args.p and args.l % args.p == 0 else None
-    if d is not None and len(args.charges) not in (d, args.l):
-        raise FlagError(f"expected {d} or {args.l} charges, got {len(args.charges)}")
-    spec = CycloSpec(args.e, args.k, args.r, args.charges)
+    spec = _spec_from_flags(args, args.p)
     orbits = assemble_basic_set_gpn(spec, args.l, args.p, args.n)
     if args.json:
         print(

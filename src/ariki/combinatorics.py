@@ -452,8 +452,8 @@ def partitions_of(n: int) -> tuple[Partition, ...]:
             rec(remaining - part, part, prefix)
             prefix.pop()
 
+    # Largest part first, each part from its cap down: canonical order.
     rec(n, n, [])
-    out.sort(key=partition_key)
     return tuple(out)
 
 
@@ -478,12 +478,13 @@ def enumerate_multipartitions(l: int, n: int) -> tuple[Multipartition, ...]:
             for p in partitions_of(remaining):
                 out.append(Multipartition(tuple(prefix) + (p,)))
             return
-        for k in range(remaining + 1):
+        # This component's size from remaining down, each size in canonical
+        # order: that is canonical order overall.
+        for k in range(remaining, -1, -1):
             for p in partitions_of(k):
                 prefix.append(p)
                 rec(idx + 1, remaining - k, prefix)
                 prefix.pop()
 
     rec(0, n, [])
-    out.sort(key=canonical_key)
     return tuple(out)

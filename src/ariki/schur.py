@@ -100,18 +100,24 @@ def spec_map_root_of_unity(e: int, k: int, v: tuple[int, ...]) -> SpecMap:
     return SpecMap(n=e, q_image=(k % e, 0), Q_images=tuple(((k * vj) % e, 0) for vj in v))
 
 
-def spec_map_for(spec: CycloSpec, l: int) -> SpecMap:
-    """The full evaluation map of a CycloSpec, with every variable sent to Z[zeta_N]."""
+def zeta_exponents(spec: CycloSpec, l: int) -> tuple[int, int, list[int]]:
+    """(N, a, A) with q -> zeta_N^a and Q_j -> zeta_N^(A_j), N = lcm(l, e).
+
+    Every test of which images coincide reads these exponents mod N: the
+    criterion here, and the splitting classes and charges in ``basicset``.
+    """
     if spec.level != l:
         raise DomainError(f"specialisation has {spec.level} charges, expected {l}")
-    n = (l * spec.e) // math.gcd(l, spec.e)
+    n = math.lcm(l, spec.e)
     we = n // spec.e
     wl = n // l
-    return SpecMap(
-        n=n,
-        q_image=((we * spec.k * spec.r) % n, 0),
-        Q_images=tuple(((wl * j + we * spec.k * rj) % n, 0) for j, rj in enumerate(spec.charges)),
-    )
+    return n, (we * spec.k * spec.r) % n, [(wl * j + we * spec.k * rj) % n for j, rj in enumerate(spec.charges)]
+
+
+def spec_map_for(spec: CycloSpec, l: int) -> SpecMap:
+    """The full evaluation map of a CycloSpec, with every variable sent to Z[zeta_N]."""
+    N, a, A = zeta_exponents(spec, l)
+    return SpecMap(n=N, q_image=(a, 0), Q_images=tuple((A_j, 0) for A_j in A))
 
 
 # ---------------------------------------------------------------------------
@@ -459,12 +465,6 @@ def ariki_poly(l: int, n: int) -> MultiLaurent:
     return acc
 
 
-def _zeta_exponents(spec: CycloSpec, l: int) -> tuple[int, int, list[int]]:
-    """(N, a, A) with q -> zeta_N^a and Q_j -> zeta_N^(A_j) under ``spec_map_for``."""
-    theta = spec_map_for(spec, l)
-    return theta.n, theta.q_image[0], [a_j for a_j, _ in theta.Q_images]
-
-
 # theta_p's memory grows with the conductor N = lcm(l, e): a dense row of N
 # coefficients and Phi_N.  At N = 1,001,001 (3 * 333667) it took 0.5 s and
 # 88 MB of peak RSS, at N = 3,000,009 1.8 s and 231 MB.  Below the cap, an N
@@ -480,7 +480,7 @@ def is_semisimple(spec: CycloSpec, l: int, n: int) -> bool:
     iff one of its factors does: [i]_q iff a != 0 and a*i = 0 mod N, and
     q^k Q_s - Q_t iff k*a + A_s = A_t mod N.
     """
-    N, a, A = _zeta_exponents(spec, l)
+    N, a, A = zeta_exponents(spec, l)
     q_integers, pairs = _criterion_factors(l, n)
     if a and any(a * i % N == 0 for i in q_integers):
         return False
@@ -495,7 +495,7 @@ def theta_p(spec: CycloSpec, l: int, n: int) -> CycloLaurent:
     multiplied in Z[x]/(x^N - 1), kept sparse as {exponent mod N:
     coefficient}, and the product is reduced modulo Phi_N once.
     """
-    N, a, A = _zeta_exponents(spec, l)
+    N, a, A = zeta_exponents(spec, l)
     if not is_semisimple(spec, l, n):
         return CycloLaurent.zero(N)
     if N > MAX_CONDUCTOR:

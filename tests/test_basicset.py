@@ -28,7 +28,7 @@ from ariki.combinatorics import (
     sigma_action,
 )
 from ariki.errors import DomainError
-from ariki.schur import CycloSpec, is_semisimple
+from ariki.schur import CycloSpec, is_semisimple, spec_map_for
 
 SPEC_312 = CycloSpec(e=12, k=1, r=6, charges=(3, -1, -2))
 
@@ -70,6 +70,63 @@ class TestDMPartition:
         assert ch.e_prime == 2
         assert ch.eq4_exact
         assert any("modulo" in d for d in ch.diagnostics)
+
+
+def _congruence_rhs(spec, l, i, j):
+    """(i - j)*e + k*l*(r_i - r_j): the angle of zeta_l^(i-j) eta^(r_i - r_j) in units of 2*pi/(l*e)."""
+    return (i - j) * spec.e + spec.k * l * (spec.charges[i] - spec.charges[j])
+
+
+def _reference_dm(spec, l, n):
+    """Classes, s-vectors and e' as integer congruences mod l*e, not as zeta_N exponents.
+
+    i and j are joined when k*l*r*d == rhs(i, j) mod l*e for some -n < d < n,
+    and s_j is the least-|s| solution (ties positive) of k*l*r*s == rhs(j,
+    anchor) mod l*e, found by search rather than by a modular inverse.
+    """
+    m_mod, step = l * spec.e, spec.k * l * spec.r
+    root = list(range(l))
+
+    def find(i):
+        while root[i] != i:
+            i = root[i]
+        return i
+
+    for i, j in itertools.combinations(range(l), 2):
+        if any((_congruence_rhs(spec, l, i, j) - step * d) % m_mod == 0 for d in range(-n + 1, n)):
+            root[find(j)] = find(i)
+    classes = sorted({tuple(j for j in range(l) if find(j) == find(i)) for i in range(l)})
+    candidates = sorted(range(-spec.e, spec.e + 1), key=lambda s: (abs(s), -s))
+    s_vectors = tuple(
+        tuple(
+            next(s for s in candidates if (step * s - _congruence_rhs(spec, l, j, cls[0])) % m_mod == 0)
+            for j in cls
+        )
+        for cls in classes
+    )
+    return tuple(classes), s_vectors, m_mod // math.gcd(step, m_mod)
+
+
+class TestZetaExponents:
+    def test_matches_the_congruences_mod_l_e(self):
+        # The zeta_N exponents, and the classes and charges read from them,
+        # against the same conditions stated mod l*e.
+        rng = random.Random(20261019)
+        for _ in range(3000):
+            l, e, r, n = rng.randint(1, 6), rng.randint(2, 30), rng.randint(1, 7), rng.randint(1, 6)
+            k = rng.choice([k for k in range(1, e) if math.gcd(k, e) == 1])
+            spec = CycloSpec(e, k, r, tuple(rng.randint(-8, 8) for _ in range(l)))
+            theta = spec_map_for(spec, l)
+            scale = l * e // theta.n
+            assert theta.q_image[0] * scale % (l * e) == k * l * r % (l * e)
+            A = [A_j for A_j, _ in theta.Q_images]
+            for j in range(l):
+                assert (A[j] - A[0]) * scale % (l * e) == _congruence_rhs(spec, l, j, 0) % (l * e)
+            dm = dm_partition(spec, l, n)
+            classes, s_vectors, e_prime = _reference_dm(spec, l, n)
+            assert (dm.classes, dm.s_vectors, dm.e_prime) == (classes, s_vectors, e_prime), spec
+            for i, s in enumerate(s_vectors):
+                assert charge_for(dm, i, spec).s == s
 
 
 class TestCrystal:

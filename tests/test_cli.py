@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import multiprocessing
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -544,6 +545,50 @@ class TestLevelFlag:
         code, out, err = run_cli(capsys, *argv.split())
         level = argv.split()[2]
         assert (code, out, err) == (2, "", f"error: --l must be >= 1, got {level}\n")
+
+
+class TestGroupFlag:
+    # --p is checked before the charge count it sets, as --l is.
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "basicset-gpn --l 4 --p -2 --n 3 --e 4 --r 1 --charges 0,1",
+            "basicset-gpn --l 4 --p 0 --n 3 --e 4 --r 1 --charges 0,1",
+        ],
+    )
+    def test_p_below_one_is_a_flag_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv.split())
+        group = argv.split()[4]
+        assert (code, out, err) == (2, "", f"error: --p must be >= 1, got {group}\n")
+
+    def test_p_not_dividing_l_is_left_to_the_library(self, capsys):
+        code, out, err = run_cli(capsys, *"basicset-gpn --l 4 --p 3 --n 3 --e 4 --r 1 --charges 0".split())
+        assert (code, out, err) == (1, "", "error: p must divide l: 3 does not divide 4\n")
+
+
+class TestHelpIsPinned:
+    # sha256 of each --help at COLUMNS=100, as printed while every subcommand
+    # still declared its spec flags one by one.
+    @pytest.mark.parametrize(
+        "command, digest",
+        [
+            ("", "2d4e4cdf16df841dd31376d6361a52cb3f8e60d4d834c8e4637b06b19482d429"),
+            ("schur", "640fe7c351f95c0af5ed7a7f4ee1a337c2a61f1b39ad4b6fb54ca0735a62b8b3"),
+            ("semisimple", "f49da7ecbf9240142656b1618356c0f71bc018b3bb6247b59213b815e458c2cb"),
+            ("defect0", "cc1d3b4e910bb4feaad83f890255027e0c949cfbd762cadb4badf809a354c9c8"),
+            ("avalue", "e117a84d9d392718d3355c21db11c5aff5554890da72b861559cc279ce4943c7"),
+            ("basicset", "781773e61301e0a20b59f9562af8b1fa5e2648546cbe920ca0eddbc512873298"),
+            ("basicset-gpn", "0a6197c8366d5d28ad7118761e905bd3a4a8da41659b40529f550791576e1b01"),
+            ("verify", "ab92dd0be59c057593da514d03ea06a4ba17b243f7590f8723e2c0c95348ced1"),
+        ],
+    )
+    def test_help_bytes_are_pinned(self, command, digest):
+        proc = subprocess.run(
+            [sys.executable, "-m", "ariki.cli", *command.split(), "--help"],
+            capture_output=True, timeout=60, env={**os.environ, "COLUMNS": "100"},
+        )
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert hashlib.sha256(proc.stdout).hexdigest() == digest
 
 
 class TestVerifyCommand:

@@ -31,6 +31,7 @@ from ariki.combinatorics import (
     multiset_dominates,
     n_function,
     orbit_and_stabilizer,
+    partition_key,
     partitions_of,
     rebar,
     scaled_kappa,
@@ -536,9 +537,14 @@ class TestEnumeration:
         assert len(set(got)) == 51
 
     def test_sorted_canonically(self):
-        for l, n in ((2, 3), (3, 2)):
-            got = enumerate_multipartitions(l, n)
-            assert list(got) == sorted(got, key=canonical_key)
+        # Both enumerations emit canonical order as they recurse; neither sorts.
+        for n in range(13):
+            got = partitions_of(n)
+            assert list(got) == sorted(got, key=partition_key)
+        for l in range(1, 5):
+            for n in range(7):
+                got = enumerate_multipartitions(l, n)
+                assert list(got) == sorted(got, key=canonical_key), (l, n)
 
 
 class TestJsonFormat:
