@@ -29,14 +29,15 @@ from .combinatorics import (
 from .errors import DomainError, InexactDivisionError, InternalError
 from .schur import (
     CycloSpec,
+    _Factors,
+    _formula_values,
     a_value_via_valuation,
     ariki_poly,  # unused here, but perfbench/tracing.py patches this name
     is_defect_zero,
     is_semisimple,
-    schur_all,
-    schur_cancellation_free,
-    schur_gim,
-    schur_mathas,
+    schur_cancellation_free,  # unused here, but perfbench/tracing.py patches this name
+    schur_gim,  # unused here, but perfbench/tracing.py patches this name
+    schur_mathas,  # unused here, but perfbench/tracing.py patches this name
     theta_p,
 )
 from .exactalg import specialise  # unused here, but perfbench/tracing.py patches this name
@@ -190,17 +191,10 @@ def _cmd_schur(args) -> int:
             f"--symbol-size {L} is above the cap of {MAX_SYMBOL_SIZE}; "
             "the Schur element does not depend on L"
         )
-    if args.formula == "all":
-        values = schur_all(lam, L)
-    elif args.formula == "cancel":
-        values = {"cancel": schur_cancellation_free(lam)}
-    elif args.formula == "mathas":
-        values = {"mathas": schur_mathas(lam)}
-    else:
-        values = {"gim": schur_gim(lam, L)}
-    # Formulas that share one polynomial share its rendering.
-    text = {i: v.render() for i, v in {id(v): v for v in values.values()}.items()}
-    return _print_routes({name: text[id(v)] for name, v in values.items()}, args.json)
+    names = ("cancel", "mathas", "gim") if args.formula == "all" else (args.formula,)
+    # Each distinct factor multiset is multiplied and rendered once, straight
+    # from the product kernel's grid: formulas that share one share its text.
+    return _print_routes(_formula_values(lam, L, names, _Factors.render), args.json)
 
 
 def _cmd_semisimple(args) -> int:

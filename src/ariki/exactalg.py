@@ -9,18 +9,22 @@ Three rings, all with arbitrary-precision integer data and canonical forms:
 * ``CycloLaurent`` -- Laurent polynomials in one variable u with
   CyclotomicInt coefficients.
 
-``product_divide`` expands a product of MultiLaurent factors sparse in the
-Q's and dense in q.  The Schur formulas' factors are Phi_d(q) and binomials
+A product of MultiLaurent factors is multiplied sparse in the Q's and
+dense in q.  The Schur formulas' factors are Phi_d(q) and binomials
 q^h Q_s Q_t^(-1) - 1, so a product has few Q-monomials, each with a run of
 q-terms.  A partial product maps each packed Q-exponent vector to its
 q-polynomial, held as one int with a signed B-bit field per power of q
 (Kronecker substitution in q only); B is sized from the product of the
 factors' L1 norms, which bounds every coefficient.  It only multiplies: the
 Schur formulas cancel their quotients factor by factor before they expand.
-The result is decoded from one array of signed words, and its terms come
-out in descending graded-lex order: the order ``MultiLaurent.render``
-prints, whose sort is then one linear pass.  ``render`` formats column by
-column, one variable at a time.
+One private grid step, ``_product_grid``, multiplies and decodes the
+result into a grid: a row per Q-monomial, holding its q-polynomial, and a
+column per total degree.  Two finishers read the grid column by column,
+from the highest total degree down, which is descending graded-lex order
+with no sort: ``product_divide`` builds the MultiLaurent, and
+``render_product`` formats its text, building each distinct string once
+and no term map.  ``MultiLaurent.render`` is ``render_product`` of one
+factor.
 
 ``SpecMap`` describes a ring homomorphism sending q and each Q_j to a root
 of unity times a power of u; ``specialise`` applies it.
@@ -44,6 +48,7 @@ import sys
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain, compress
 from typing import Iterable, Mapping
 
 from .errors import DomainError, InexactDivisionError
@@ -162,111 +167,22 @@ class MultiLaurent:
         Terms are sorted by graded-lex order on exponent vectors,
         descending.  Exponent 0 factors are omitted, exponent 1 is written
         without ^, and a coefficient of 1 is dropped unless the monomial is
-        empty.
+        empty.  This is ``render_product`` of the one factor.
         """
-        terms = self.terms
-        if not terms:
-            return "0"
-        # Already in order when the terms come from product_divide, and then
-        # the sort is one linear pass.
-        keys = [exps for _, exps in sorted(zip(map(sum, terms), terms), reverse=True)]
-        # Column by column: every term is " + c" or " - c", then "*name^e" per
-        # nonzero exponent, each string looked up in a table of that column's
-        # distinct values.
-        signed = {c: f" + {c}" if c > 0 else f" - {-c}" for c in set(terms.values())}
-        cols = [map(signed.__getitem__, map(terms.__getitem__, keys))]
-        names = ["q"] + [f"Q{j}" for j in range(self.l)]
-        for name, col in zip(names, zip(*keys)):
-            table = {e: "" if e == 0 else f"*{name}" if e == 1 else f"*{name}^{e}" for e in set(col)}
-            cols.append(map(table.__getitem__, col))
-        text = "".join(map("".join, zip(*cols)))
-        # A unit coefficient is dropped before a monomial.  The only spaces
-        # are those around signs, so " + 1*" is always a whole coefficient 1.
-        text = text.replace(" + 1*", " + ").replace(" - 1*", " - ")
-        return text[3:] if text[1] == "+" else f"-{text[3:]}"
+        return render_product(self.l, [self])
 
 
 # Signed array typecodes by word size in bytes.
 _SIGNED_WORDS = {array(code).itemsize: code for code in "bhilq"}
 
 # q stays in the rows while the factors' term counts multiply to at least
-# this many per field of a row; below that, most fields would be zero, so q
-# goes into the key and a row is one term.
-_TERM_PRODUCTS_PER_ROW_FIELD = 4
+# this many per column of the grid; below that, most cells would be zero, so
+# q goes into the key and a row is one term.
+_TERM_PRODUCTS_PER_COLUMN = 4
 
 
-def product_divide(l: int, factors: Iterable[MultiLaurent]) -> MultiLaurent:
-    """The expanded product of the factors, multiplied in the order given.
-
-    It only multiplies: the Schur formulas cancel every quotient in their
-    factor multisets before they expand.  The name and the positional
-    ``(l, factors)`` call stay because the benchmark's tracer patches
-    ``schur.product_divide`` and keys its ``exactalg.product_divide.*``
-    metrics on it.
-
-    A partial product is a dict from keys to rows.  A key packs a
-    Q-monomial's exponents, shifted so that the least exponent of each
-    variable is 0, in fields of ``bits`` bits, under a top field that holds
-    minus their total (the Q-degree): adding keys multiplies Q-monomials.
-    A row is that Q-monomial's q-polynomial, shifted to least q exponent 0,
-    as one int with a signed field of B bits per power of q (Kronecker
-    substitution in q only).  A factor step multiplies every row of the
-    product by every row of the factor.
-
-    The product of the factors' L1 norms (sums of absolute coefficients)
-    bounds every coefficient of every partial product, and B is the least
-    of 8, 16, 32 and 64 bits, or past that of the powers of two bytes, that
-    holds it as a signed field.  To decode, 2^(B-1) is added to every field,
-    so that no negative field borrows from the next, and XORed back, which
-    leaves each field in two's complement: one ``array`` of signed words
-    holds every coefficient.  Each row is shifted up by its Q-degree above
-    the lowest, so that a column of this grid holds one total degree.
-    Descending keys put the rows in ascending Q-degree, so reading the
-    columns from the highest total degree down gives descending graded-lex
-    order, the order ``render`` prints, with no sort of the terms.
-
-    When the factors' term counts multiply to fewer than
-    ``_TERM_PRODUCTS_PER_ROW_FIELD`` per power of q in a row, rows would be
-    mostly zero fields (products sparse in q, or a spread like q^(2^40)).
-    Then q goes into the key as well, the top field holds the total degree,
-    so that descending keys are in descending graded-lex order, and every
-    row is a single coefficient: the same steps then allocate nothing in
-    proportion to the q-spread.  A zero factor gives zero.
-    """
-    width = l + 1
-    operands = []
-    shift = [0] * width
-    spread = q_spread = 0
-    n_products = 1
-    bound = 1
-    for f in factors:
-        if f.l != l:
-            raise DomainError(f"mixed variable counts: {f.l} != {l}")
-        terms = f.terms
-        if not terms:
-            return MultiLaurent.zero(l)
-        cols = tuple(zip(*terms))
-        lo = tuple(map(min, cols))
-        hi = tuple(map(max, cols))
-        spread += sum(hi) - sum(lo)
-        q_spread += hi[0] - lo[0]
-        bound *= sum(map(abs, terms.values()))
-        n_products *= len(terms)
-        shift = list(map(operator.add, shift, lo))
-        operands.append((terms, lo))
-    # Every shifted exponent of the product, and its shifted total degree,
-    # lies in [0, spread], so no sum of keys carries from one field into the
-    # next.
-    bits = spread.bit_length()
-    nb = 1 << max(0, bound.bit_length().bit_length() - 3)
-    B = 8 * nb
-    deg_shift = bits * width
-    if _TERM_PRODUCTS_PER_ROW_FIELD * (q_spread + 1) <= n_products:
-        row_len, row_shift = q_spread + 1, B
-        weights = [0] + [(1 << bits * (l - j)) - (1 << deg_shift) for j in range(1, width)]
-    else:
-        row_len, row_shift = 1, 0
-        weights = [(1 << deg_shift) + (1 << bits * (l - j)) for j in range(width)]
+def _multiply(operands, weights: list[int], row_shift: int) -> dict[int, int]:
+    """The packed product: each factor's terms packed into keys and rows, then every row times every row."""
     mul = operator.mul
     acc = {0: 1}
     for terms, lo in operands:
@@ -288,27 +204,139 @@ def product_divide(l: int, factors: Iterable[MultiLaurent]) -> MultiLaurent:
                 elif k in out:
                     del out[k]
         acc = out
-    keys = sorted(acc, reverse=True)
-    top = keys[0] >> deg_shift
-    skews = [top - (k >> deg_shift) for k in keys] if row_shift else [0] * len(keys)
-    n_cols = row_len + skews[-1]
+    return acc
+
+
+def _product_grid(l: int, factors: Iterable[MultiLaurent]):
+    """Multiply the factors into the grid that ``product_divide`` and ``render_product`` read.
+
+    None when a factor is zero.  Otherwise (coeffs, n_cols, lead, Q_runs):
+    the list ``coeffs`` holds the grid row by row, ``n_cols`` cells per row,
+    zero cells included; row r's cell j is the term with q exponent
+    ``lead[r] + j`` and Q exponents ``Q_runs[0][r], ..., Q_runs[l-1][r]``.
+    Read column by column from the last, each column's rows in order, the
+    cells are in descending graded-lex order.  No Q-monomial has two rows
+    unless q is in the key, and then ``n_cols`` is 1.
+
+    A partial product is a dict from keys to rows.  A key packs a
+    Q-monomial's exponents, shifted so that the least exponent of each
+    variable is 0, in fields of ``bits`` bits, under a top field that holds
+    minus their total (the Q-degree): adding keys multiplies Q-monomials.
+    A row is that Q-monomial's q-polynomial, shifted to least q exponent 0,
+    as one int with a signed field of B bits per power of q (Kronecker
+    substitution in q only).  A factor step multiplies every row of the
+    product by every row of the factor.
+
+    The product of the factors' L1 norms (sums of absolute coefficients)
+    bounds every coefficient of every partial product, and B is the least
+    of 8, 16, 32 and 64 bits, or past that of the powers of two bytes, that
+    holds it as a signed field.  To decode, 2^(B-1) is added to every field,
+    so that no negative field borrows from the next, and XORed back, which
+    leaves each field in two's complement: one ``array`` of signed words
+    decodes every coefficient.  Each row is shifted up by its Q-degree above
+    the lowest, so that a column of this grid holds one total degree.
+    Descending keys put the rows in ascending Q-degree, so reading the
+    columns from the highest total degree down gives descending graded-lex
+    order with no sort of the terms.
+
+    When the factors' term counts multiply to fewer than
+    ``_TERM_PRODUCTS_PER_COLUMN`` per column of that grid, the grid would be
+    mostly zero cells (products sparse in q, a spread like q^(2^40), or rows
+    whose Q-degrees lie far apart).  Then q goes into the key as well, the
+    top field holds the total degree, so that descending keys are in
+    descending graded-lex order, and every row is a single coefficient: the
+    same steps then allocate nothing in proportion to the spread of any
+    exponent.
+    """
+    width = l + 1
+    operands = []
+    shift = [0] * width
+    spread = q_spread = 0
+    n_products = 1
+    bound = 1
+    zero = False
+    for f in factors:
+        if f.l != l:
+            raise DomainError(f"mixed variable counts: {f.l} != {l}")
+        terms = f.terms
+        if not terms:
+            zero = True
+            continue
+        cols = tuple(zip(*terms))
+        lo = tuple(map(min, cols))
+        hi = tuple(map(max, cols))
+        spread += sum(hi) - sum(lo)
+        q_spread += hi[0] - lo[0]
+        bound *= sum(map(abs, terms.values()))
+        n_products *= len(terms)
+        shift = list(map(operator.add, shift, lo))
+        operands.append((terms, lo))
+    if zero:
+        return None
+    # Every shifted exponent of the product, and its shifted total degree,
+    # lies in [0, spread], so no sum of keys carries from one field into the
+    # next.
+    bits = spread.bit_length()
+    nb = 1 << max(0, bound.bit_length().bit_length() - 3)
+    B = 8 * nb
+    deg_shift = bits * width
+    q_in_rows = _TERM_PRODUCTS_PER_COLUMN * (q_spread + 1) <= n_products
+    while True:
+        if q_in_rows:
+            row_len, row_shift = q_spread + 1, B
+            weights = [0] + [(1 << bits * (l - j)) - (1 << deg_shift) for j in range(1, width)]
+        else:
+            row_len, row_shift = 1, 0
+            weights = [(1 << deg_shift) + (1 << bits * (l - j)) for j in range(width)]
+        acc = _multiply(operands, weights, row_shift)
+        keys = sorted(acc, reverse=True)
+        top = keys[0] >> deg_shift
+        skews = [top - (k >> deg_shift) for k in keys] if row_shift else [0] * len(keys)
+        n_cols = row_len + skews[-1]
+        if not q_in_rows or _TERM_PRODUCTS_PER_COLUMN * n_cols <= n_products:
+            break
+        # Rows whose Q-degrees lie far apart would leave most cells of the
+        # skewed grid zero: multiply again with q in the key.
+        q_in_rows = False
     offset = (1 << B - 1) * (((1 << B * row_len) - 1) // ((1 << B) - 1))
     row_bytes = n_cols * nb
     rows = zip(skews, map(acc.__getitem__, keys))
     buf = b"".join([(((v + offset) ^ offset) << o * B).to_bytes(row_bytes, sys.byteorder) for o, v in rows])
     if nb <= 8:
-        coeffs = array(_SIGNED_WORDS[nb], buf)
+        coeffs = array(_SIGNED_WORDS[nb], buf).tolist()
     else:
         coeffs = [int.from_bytes(buf[i:i + nb], sys.byteorder, signed=True) for i in range(0, len(buf), nb)]
     # The key fields, each as a run of len(keys) values: q, then each Q_j.
     n = len(keys)
     mask = (1 << bits) - 1
     fields = [(k >> pos & mask) + s for pos, s in zip(map(bits.__mul__, range(l, -1, -1)), shift) for k in keys]
-    # Per row, the q exponent in grid column 0 and the tuple of Q exponents.
     lead = list(map(operator.sub, fields[:n], skews))
-    Qts = list(zip(*[fields[i:i + n] for i in range(n, width * n, n)])) or [()] * n
-    # Every key has l + 1 fields and the loop above stores no zero row, so
-    # the validating constructor is skipped.
+    return coeffs, n_cols, lead, [fields[i:i + n] for i in range(n, width * n, n)]
+
+
+def product_divide(l: int, factors: Iterable[MultiLaurent]) -> MultiLaurent:
+    """The expanded product of the factors, multiplied in the order given.
+
+    It only multiplies: the Schur formulas cancel every quotient in their
+    factor multisets before they expand.  The name and the positional
+    ``(l, factors)`` call stay because the benchmark's tracer patches
+    ``schur.product_divide`` and keys its ``exactalg.product_divide.*``
+    metrics on it.  Every factor's variable count is checked, so a zero
+    factor gives zero only among factors of l variables.
+
+    ``_product_grid`` multiplies and decodes; this finisher reads the grid
+    column by column, from the highest total degree down, into the term
+    map, so the terms come out in the order ``render`` prints.
+    ``render_product`` is the other finisher, which formats the same grid
+    without building the map.
+    """
+    grid = _product_grid(l, factors)
+    if grid is None:
+        return MultiLaurent.zero(l)
+    coeffs, n_cols, lead, Q_runs = grid
+    Qts = list(zip(*Q_runs)) or [()] * len(lead)
+    # Every key has l + 1 fields and the grid holds no term twice, so the
+    # validating constructor is skipped.
     res = MultiLaurent.__new__(MultiLaurent)
     res.l = l
     res.terms = {
@@ -318,6 +346,68 @@ def product_divide(l: int, factors: Iterable[MultiLaurent]) -> MultiLaurent:
         if v
     }
     return res
+
+
+def _signed(c: int, unit: str) -> str:
+    # The text before a term's monomial: its sign, then its coefficient
+    # followed by ``unit`` if that is not 1.
+    return f" + {c}{unit}" if c > 0 else f" - {-c}{unit}"
+
+
+def _power(name: str, e: int, sep: str) -> str:
+    # name^e followed by sep, or nothing for e = 0.
+    return "" if e == 0 else f"{name}{sep}" if e == 1 else f"{name}^{e}{sep}"
+
+
+def render_product(l: int, factors: Iterable[MultiLaurent]) -> str:
+    """``product_divide(l, factors).render()``, formatted straight from the grid.
+
+    No term tuple, term map or sort: each distinct string is built once --
+    every row's Q-monomial from one table per variable, every q power and
+    every signed coefficient, with a unit coefficient dropped in the table
+    -- and the grid is read column by column, from the highest total degree
+    down, three strings per nonzero cell.  A monomial's strings end in
+    ``*`` where another factor follows, so the only text that needs its own
+    case is the constant term's, at most one cell.
+    """
+    grid = _product_grid(l, factors)
+    if grid is None:
+        return "0"
+    coeffs, n_cols, lead, Q_runs = grid
+    n = len(lead)
+    # Each row's Q-monomial, e.g. "Q0^2*Q2^-1"; "" for Q_0^0 ... Q_{l-1}^0.
+    parts = [map({e: _power(f"Q{j}", e, "*") for e in set(run)}.__getitem__, run) for j, run in enumerate(Q_runs)]
+    Q_text = [s[:-1] for s in map("".join, zip(*parts))] if parts else [""] * n
+    # Each cell's q power, row by row like coeffs, followed by "*" for the
+    # row's Q-monomial.  With one column, q was in the key and its powers
+    # may lie far apart; otherwise one table covers them all.
+    if n_cols == 1:
+        q_grid = [_power("q", e, "*") for e in lead]
+    else:
+        lo = min(lead)
+        star = [_power("q", e, "*") for e in range(lo, max(lead) + n_cols)]
+        q_grid = list(chain.from_iterable(star[e - lo:e - lo + n_cols] for e in lead))
+    # Rows with no Q-monomial: their q powers end the monomial, and one of
+    # their cells may be the constant term.
+    constant = None
+    for r in compress(range(n), map(operator.not_, Q_text)):
+        q_grid[r * n_cols:(r + 1) * n_cols] = [_power("q", e, "") for e in range(lead[r], lead[r] + n_cols)]
+        if 0 <= -lead[r] < n_cols and coeffs[r * n_cols - lead[r]]:
+            constant = r
+    coef_text = {c: " + " if c == 1 else " - " if c == -1 else _signed(c, "*") for c in set(coeffs)}
+    pieces: list[str] = []
+    for j in range(n_cols - 1, -1, -1):
+        col = coeffs[j::n_cols]
+        at = len(pieces)
+        coefs = map(coef_text.__getitem__, compress(col, col))
+        pieces += chain.from_iterable(zip(coefs, compress(q_grid[j::n_cols], col), compress(Q_text, col)))
+        if constant is not None and j == -lead[constant]:
+            # The constant term is its whole coefficient, 1 included.
+            pieces[at + 3 * (constant - col[:constant].count(0))] = _signed(col[constant], "")
+    # Only the pieces are alive while the text is joined.
+    del grid, coeffs, col, q_grid
+    pieces[0] = pieces[0][3:] if pieces[0][1] == "+" else f"-{pieces[0][3:]}"
+    return "".join(pieces)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,9 @@ quotient formula of Mathas, and the beta-number formula of Geck, Iancu and
 Malle.  Each builds its element as a multiset of irreducible factors
 (``_Factors``), divides by subtracting multiplicities and expands once.
 ``schur_all`` compares the three canonical factorisations first and expands
-each distinct one once, so formulas that agree share one polynomial.  On
+each distinct one once, so formulas that agree share one polynomial; the
+CLI renders each distinct one once (``_Factors.render``), straight from the
+product kernel's grid, without expanding it into a polynomial.  On
 top of them sit the semisimplicity criterion, the defect-0 test, and the
 valuation route to the a-value.
 
@@ -42,6 +44,7 @@ from .exactalg import (
     SpecMap,
     cyclotomic_polynomial,
     product_divide,
+    render_product,
     specialise,
 )
 
@@ -212,7 +215,7 @@ class _Factors:
         self.e_Q[t] += k
         self.cross(a - b, s, t, k)
 
-    def expand(self) -> MultiLaurent:
+    def _operands(self) -> list[MultiLaurent]:
         l = self.l
         factors = [MultiLaurent.term(l, self.sign, self.e_q, self.e_Q)]
         # The Phi_d first, then the X keys grouped by their pair (s, t), so
@@ -229,7 +232,14 @@ class _Factors:
             else:
                 poly = _cross_factor(l, *key[1:])
             factors += [poly] * k
-        return product_divide(l, factors)
+        return factors
+
+    def expand(self) -> MultiLaurent:
+        return product_divide(self.l, self._operands())
+
+    def render(self) -> str:
+        """``expand().render()``, formatted from the product kernel's grid with no term map."""
+        return render_product(self.l, self._operands())
 
 
 # ---------------------------------------------------------------------------
@@ -379,20 +389,30 @@ def schur_gim(m: Multipartition, L: int | None = None) -> MultiLaurent:
     return _gim_factors(m, L).expand()
 
 
+def _formula_values(m: Multipartition, L: int | None, names, finish) -> dict:
+    """{name: finish(factor multiset)} for the named formulas among "cancel", "mathas", "gim".
+
+    Every named multiset is built first, in the order named.  The keys are
+    irreducible and pairwise non-associate in a unique factorisation
+    domain, so equal multisets are equal elements: ``finish`` runs once per
+    distinct multiset, and formulas with equal multisets share its result.
+    """
+    builders = {"cancel": _cancellation_free_factors, "mathas": _mathas_factors, "gim": lambda m: _gim_factors(m, L)}
+    built = {name: builders[name](m) for name in names}
+    values: dict = {}
+    for name, f in built.items():
+        shared = next((values[other] for other in values if built[other] == f), None)
+        values[name] = finish(f) if shared is None else shared
+    return values
+
+
 def schur_all(m: Multipartition, L: int | None = None) -> dict[str, MultiLaurent]:
     """The three formulas' values, as {"cancel", "mathas", "gim"} -> polynomial.
 
-    The three factor multisets are compared first: the keys are irreducible
-    and pairwise non-associate in a unique factorisation domain, so equal
-    multisets are equal elements.  Each distinct multiset is expanded once,
-    and formulas with equal multisets share one polynomial object.
+    Each distinct factor multiset is expanded once, and formulas with equal
+    multisets share one polynomial object.
     """
-    built = {"cancel": _cancellation_free_factors(m), "mathas": _mathas_factors(m), "gim": _gim_factors(m, L)}
-    values: dict[str, MultiLaurent] = {}
-    for name, f in built.items():
-        shared = next((values[other] for other in values if built[other] == f), None)
-        values[name] = f.expand() if shared is None else shared
-    return values
+    return _formula_values(m, L, ("cancel", "mathas", "gim"), _Factors.expand)
 
 
 # ---------------------------------------------------------------------------

@@ -173,25 +173,22 @@ class TestSchurCommand:
             assert hashlib.sha256(proc.stdout).hexdigest() == digest, extra
 
     def test_all_expands_and_renders_once(self, capsys, monkeypatch):
-        calls, renders = [], []
+        # The CLI multiplies and renders in one call, schur.render_product,
+        # and builds no term map through schur.product_divide.
+        renders, expansions = [], []
 
-        def counting(*args):
-            calls.append(args)
-            return real(*args)
+        def counting_render(*args):
+            renders.append(args)
+            return real_render(*args)
 
-        def counting_render(self):
-            renders.append(self)
-            return real_render(self)
-
-        real, real_render = schur.product_divide, MultiLaurent.render
-        monkeypatch.setattr(schur, "product_divide", counting)
-        monkeypatch.setattr(MultiLaurent, "render", counting_render)
+        real_render = schur.render_product
+        monkeypatch.setattr(schur, "render_product", counting_render)
+        monkeypatch.setattr(schur, "product_divide", lambda *args: expansions.append(args))
         for argv in ([], ["--json"]):
-            calls.clear()
             renders.clear()
             code, out, _ = run_cli(capsys, "schur", "--lambda", "[[2,1],[1],[1]]", "--formula", "all", *argv)
             assert code == 0 and "DISAGREE" not in out
-            assert len(calls) == 1 and len(renders) == 1
+            assert len(renders) == 1 and not expansions
 
     @pytest.mark.parametrize(
         "name, builder",

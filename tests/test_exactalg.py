@@ -19,6 +19,7 @@ from ariki.exactalg import (
     _times_binomial,
     cyclotomic_polynomial,
     product_divide,
+    render_product,
     specialise,
 )
 
@@ -108,14 +109,15 @@ _FIELD_EDGES = (2**7, 2**15, 2**31, 2**63, 2**90)
 def kernel_cases(draw):
     """(l, factors) for the packed kernel's edge cases.
 
-    l is 1 to 4.  A factor is a run of consecutive powers of q times one
-    Q-monomial, or terms spread over several Q-monomials, or zero; exponents
-    may be negative, and runs make products dense in q over rows of unequal
-    Q-degree.  Coefficients reach just below or above a word edge, and the
-    leading term of a factor is made negative half the time, so that fields
-    borrow.
+    l is 0 to 4.  A factor is a run of consecutive powers of q times one
+    Q-monomial, or terms spread over several Q-monomials, either of them
+    with a constant term of 1 or -1 half the time, or a lone constant 1 or
+    -1, or zero; exponents may be negative, and runs make products dense in
+    q over rows of unequal Q-degree.  Coefficients reach just below or above
+    a word edge, and the leading term of a factor is made negative half the
+    time, so that fields borrow.  The list may be empty.
     """
-    l = draw(st.integers(1, 4))
+    l = draw(st.integers(0, 4))
     edge = draw(st.sampled_from(_FIELD_EDGES))
     coeff = st.one_of(
         st.integers(-3, 3),
@@ -125,15 +127,20 @@ def kernel_cases(draw):
     exponent = st.integers(-5, 5)
 
     def factor():
-        kind = draw(st.sampled_from(["q-run", "q-run", "spread", "spread", "zero"]))
+        kind = draw(st.sampled_from(["q-run", "q-run", "spread", "spread", "unit", "zero"]))
         if kind == "zero":
             return MultiLaurent.zero(l)
+        unit = draw(st.sampled_from([1, -1]))
+        if kind == "unit":
+            return MultiLaurent(l, {(0,) * (l + 1): unit})
         if kind == "q-run":
             Q = tuple(draw(st.lists(exponent, min_size=l, max_size=l)))
             start = draw(exponent)
             terms = {(start + i,) + Q: draw(coeff) for i in range(draw(st.integers(1, 5)))}
         else:
             terms = draw(st.dictionaries(st.tuples(*[exponent] * (l + 1)), coeff, min_size=1, max_size=4))
+        if draw(st.booleans()):
+            terms[(0,) * (l + 1)] = unit
         f = MultiLaurent(l, terms)
         if f.terms and draw(st.booleans()):
             lead = max(f.terms, key=_graded_lex)
@@ -156,8 +163,18 @@ class TestExactDivide:
         x = q_poly((1, 1), (0, -1))
         assert product_divide(1, [x, MultiLaurent.zero(1), x]).is_zero()
         assert product_divide(1, []) == MultiLaurent.one(1)
+        assert render_product(1, [x, MultiLaurent.zero(1), x]) == "0"
+        assert render_product(1, []) == "1"
         with pytest.raises(DomainError):
             product_divide(1, [x, MultiLaurent.one(2)])
+
+    @pytest.mark.parametrize("finisher", [product_divide, render_product])
+    def test_zero_factor_checks_every_variable_count(self, finisher):
+        # A zero factor does not end the check: the other factor's count is
+        # refused in either order.
+        for factors in ([MultiLaurent.zero(1), MultiLaurent.one(2)], [MultiLaurent.one(2), MultiLaurent.zero(1)]):
+            with pytest.raises(DomainError, match="mixed variable counts: 2 != 1"):
+                finisher(1, factors)
 
     def test_wide_exponent_spread_multiplies_exactly(self):
         # (q^(2^40) + Q0^(-2^40))(q - 1): the exponents span more than 2^41,
@@ -205,6 +222,12 @@ class TestExactDivide:
         assert product == chained
         assert list(product.terms) == sorted(product.terms, key=_graded_lex, reverse=True)
 
+    @given(kernel_cases())
+    @settings(max_examples=400, deadline=None)
+    def test_render_product_matches_term_by_term_rendering(self, case):
+        l, factors = case
+        assert render_product(l, factors) == _ref_render(product_divide(l, factors))
+
     def test_dense_rows_of_unequal_Q_degree(self):
         # Rows of Q-degree 1 to 4, each a run of powers of q: the term
         # counts multiply to 256 against 10 powers of q, so q stays in the
@@ -248,6 +271,25 @@ class TestExactDivide:
         for flags in ([], ["-O"]):
             proc = subprocess.run([sys.executable, *flags, "-c", code], capture_output=True, text=True, timeout=30)
             assert proc.stdout == "True True\n", (flags, proc.stderr)
+
+    def test_wide_Q_degree_spread_under_dense_q(self):
+        # (1 + q + q^2 + q^3)^4 (1 + Q0^(2^40)): 512 term products against
+        # 13 powers of q, but the rows' Q-degrees lie 2^40 apart, and a grid
+        # skewed by them would not fit in memory, so q must move into the
+        # key.  The child's address space is capped, so a wrong choice fails
+        # with MemoryError instead of exhausting the machine.
+        code = (
+            "import resource\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31))\n"
+            "from ariki.exactalg import MultiLaurent, product_divide, render_product\n"
+            "run = MultiLaurent(1, {(i, 0): 1 for i in range(4)})\n"
+            "wide = MultiLaurent(1, {(0, 0): 1, (0, 2**40): 1})\n"
+            "factors = [run, run, run, run, wide]\n"
+            "p = product_divide(1, factors)\n"
+            "print(p == run * run * run * run * wide, render_product(1, factors) == p.render())\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=30)
+        assert proc.stdout == "True True\n", proc.stderr
 
 
 def _graded_lex(exps):

@@ -280,6 +280,25 @@ class TestSchurAll:
                     assert values["mathas"] == mathas, (lam, L)
                     assert values["gim"] == schur_gim(lam, L), (lam, L)
 
+    def test_expands_each_distinct_multiset_once(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        real = schur.product_divide
+        monkeypatch.setattr(schur, "product_divide", counting)
+        values = schur_all(mp([2, 1], [1], [1]))
+        assert len(calls) == 1
+        assert values["cancel"] is values["mathas"] is values["gim"]
+
+    def test_render_is_the_expansion_rendered(self):
+        for l, n in [(l, n) for l in (1, 2, 3) for n in range(5)]:
+            for lam in enumerate_multipartitions(l, n):
+                for f in (_cancellation_free_factors(lam), _mathas_factors(lam), _gim_factors(lam)):
+                    assert f.render() == f.expand().render(), lam
+
     def test_gim_multiset_equals_the_cancellation_free_one(self):
         for l, n in [(l, n) for l in (1, 2, 3) for n in range(4)]:
             for lam in enumerate_multipartitions(l, n):
