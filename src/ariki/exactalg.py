@@ -404,7 +404,7 @@ def render_product(l: int, factors: Iterable[MultiLaurent]) -> str:
         if constant is not None and j == -lead[constant]:
             # The constant term is its whole coefficient, 1 included.
             pieces[at + 3 * (constant - col[:constant].count(0))] = _signed(col[constant], "")
-    # Only the pieces are alive while the text is joined.
+    # The grid and the per-cell q strings are freed before the text is joined.
     del grid, coeffs, col, q_grid
     pieces[0] = pieces[0][3:] if pieces[0][1] == "+" else f"-{pieces[0][3:]}"
     return "".join(pieces)
