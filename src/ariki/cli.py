@@ -171,9 +171,13 @@ def _print_routes(values: dict[str, str], as_json: bool) -> int:
         (value,) = values.values()
         print(json.dumps({"value": value}) if as_json else value)
         return 0
-    agree = len(set(values.values())) == 1
+    distinct = set(values.values())
+    agree = len(distinct) == 1
     if as_json:
-        print(json.dumps({**values, "agree": agree}))
+        # json.dumps({**values, "agree": agree}), with each distinct text encoded once.
+        encoded = {value: json.dumps(value) for value in distinct}
+        fields = [f"{json.dumps(name)}: {encoded[value]}" for name, value in values.items()]
+        print("{" + ", ".join([*fields, f'"agree": {json.dumps(agree)}']) + "}")
     else:
         for name, value in values.items():
             print(f"{name}: {value}")
@@ -217,6 +221,8 @@ def _cmd_defect0(args) -> int:
         lam = args.lam
         if args.l is not None and args.l != lam.level:
             raise FlagError(f"--l {args.l} contradicts a level-{lam.level} multipartition")
+        if args.n is not None and args.n != lam.rank:
+            raise FlagError(f"--n {args.n} contradicts a rank-{lam.rank} multipartition")
         if len(v) != lam.level:
             raise FlagError(f"expected {lam.level} charges in --v, got {len(v)}")
         verdict = is_defect_zero(lam, args.e, v)

@@ -15,8 +15,9 @@ valuation route to the a-value.
 The criterion is a product of simple factors, and its specialisation lies
 in Z[zeta_N], which has no zero divisors: ``is_semisimple`` tests each
 factor's image in integer arithmetic and ``theta_p`` multiplies the images
-sparsely.  ``ariki_poly`` multiplies the criterion out; it is an oracle for
-``verify`` and the tests only.
+sparsely.  ``ariki_poly`` multiplies the criterion out, as a factor multiset
+expanded once like the Schur elements; it is an oracle for ``verify`` and
+the tests only.
 """
 
 from __future__ import annotations
@@ -125,22 +126,6 @@ def spec_map_for(spec: CycloSpec, l: int) -> SpecMap:
 
 # ---------------------------------------------------------------------------
 # Polynomial building blocks
-
-
-def q_integer(l: int, m: int) -> MultiLaurent:
-    """[m]_q = 1 + q + ... + q^(m-1)."""
-    if m < 1:
-        raise DomainError(f"[{m}]_q does not occur; same-component hooks are >= 1")
-    return MultiLaurent(l, {(i,) + (0,) * l: 1 for i in range(m)})
-
-
-def _pair_binomial(l: int, a: int, s: int, b: int, t: int) -> MultiLaurent:
-    """q^a Q_s - q^b Q_t (with s != t)."""
-    es = [0] * (l + 1)
-    es[0], es[1 + s] = a, 1
-    et = [0] * (l + 1)
-    et[0], et[1 + t] = b, 1
-    return MultiLaurent(l, {tuple(es): 1, tuple(et): -1})
 
 
 def _cross_factor(l: int, h: int, s: int, t: int) -> MultiLaurent:
@@ -473,16 +458,17 @@ def _criterion_factors(l: int, n: int) -> tuple[range, list[tuple[int, int, int]
 def ariki_poly(l: int, n: int) -> MultiLaurent:
     """prod [i]_q for i <= n, times prod over s < t, -n < k < n of (q^k Q_s - Q_t).
 
-    The criterion multiplied out: an oracle for ``verify`` and the tests.
-    ``is_semisimple`` and ``theta_p`` read the same factors one by one.
+    The criterion multiplied out, built as a factor multiset and expanded
+    once: an oracle for ``verify`` and the tests.  ``is_semisimple`` and
+    ``theta_p`` read the same factors one by one and never expand them.
     """
     q_integers, pairs = _criterion_factors(l, n)
-    acc = MultiLaurent.one(l)
+    f = _Factors(l)
     for i in q_integers:
-        acc = acc * q_integer(l, i)
+        f.q_integer(i)
     for k, s, t in pairs:
-        acc = acc * _pair_binomial(l, k, s, 0, t)
-    return acc
+        f.pair(k, s, 0, t)
+    return f.expand()
 
 
 # theta_p's memory grows with the conductor N = lcm(l, e): a dense row of N

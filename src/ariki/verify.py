@@ -327,7 +327,7 @@ def verify_semisimple(workers: _Workers = _SERIAL):
                 grid.append((CycloSpec(e, k, r, charges), l, n))
     if len(grid) < 50:
         raise InternalError(f"semisimple grid has {len(grid)} points, expected at least 50")
-    yield from workers.map(_semisimple_worker, grid, us_per_unit=3000)
+    yield from workers.map(_semisimple_worker, grid, us_per_unit=1400)
 
 
 # ---------------------------------------------------------------------------

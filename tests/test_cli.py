@@ -98,6 +98,19 @@ class TestSchurCommand:
         assert code == 0
         assert json.loads(out) == {"value": "1 + q^-1"}
 
+    @pytest.mark.parametrize(
+        "values",
+        [
+            {"cancel": "q + 1", "mathas": "q + 1", "gim": "q + 1"},
+            {"cancel": 'a "b"', "mathas": "\\ \u00e9", "gim": 'a "b"'},
+            {"combinatorial": "6", "hooks": "7/2"},
+        ],
+    )
+    def test_json_routes_print_the_bytes_of_json_dumps(self, capsys, values):
+        agree = len(set(values.values())) == 1
+        assert cli._print_routes(values, as_json=True) == (0 if agree else 1)
+        assert capsys.readouterr().out == json.dumps({**values, "agree": agree}) + "\n"
+
     def test_symbol_size_too_small(self, capsys):
         code, _, err = run_cli(
             capsys, "schur", "--lambda", "[[1,1]]", "--formula", "gim", "--symbol-size", "1"
@@ -370,6 +383,13 @@ class TestDefect0Command:
         assert code == 2
         code, _, _ = run_cli(capsys, "defect0", "--e", "2", "--v", "0,1", "--lambda", "[[1]]")
         assert code == 2
+
+    def test_rank_flag_must_match_the_multipartition(self, capsys):
+        argv = ["defect0", "--e", "3", "--v", "0,1", "--lambda", "[[1],[1]]"]
+        code, out, err = run_cli(capsys, *argv, "--n", "5")
+        assert code == 2 and out == "" and "--n 5" in err
+        code, out, _ = run_cli(capsys, *argv, "--n", "2")
+        assert (code, out) == run_cli(capsys, *argv)[:2]
 
     def test_math_precondition_failures_exit_1(self, capsys):
         code, _, err = run_cli(
@@ -674,12 +694,12 @@ class TestVerifyCommand:
         assert stub_pools.pools == []
 
     def test_one_pool_per_run(self, capsys, stub_pools):
-        argv = ["verify", "--suite", "semisimple", "--suite", "defect0", "--max-l", "3", "--max-n", "4"]
+        argv = ["verify", "--suite", "avalues", "--suite", "defect0", "--max-l", "3", "--max-n", "4"]
         _, base, _ = run_cli(capsys, *argv, "--jobs", "1")
         assert stub_pools.pools == []
         code, out, _ = run_cli(capsys, *argv, "--jobs", "2")
         assert code == 0 and out == base
-        assert stub_pools.pools == [2] and stub_pools.maps == 2
+        assert stub_pools.pools == [2] and stub_pools.maps == 3
 
     def test_one_cpu_maps_serially(self, capsys, monkeypatch, stub_pools):
         import ariki.verify as verify

@@ -27,7 +27,6 @@ from ariki.schur import (
     conj_content_identity,
     is_defect_zero,
     is_semisimple,
-    q_integer,
     schur_all,
     schur_cancellation_free,
     schur_gim,
@@ -43,6 +42,22 @@ from ariki.schur import (
 
 def render(m):
     return m.render()
+
+
+def q_integer(l, m):
+    return plain_factor(l, ("q_integer", m))
+
+
+def chained_criterion(l, n):
+    """Ariki's criterion from plain factors, multiplied by chained ``MultiLaurent.__mul__``."""
+    acc = MultiLaurent.one(l)
+    for i in range(2, n + 1):
+        acc = acc * q_integer(l, i)
+    for s in range(l):
+        for t in range(s + 1, l):
+            for k in range(-n + 1, n):
+                acc = acc * plain_factor(l, ("pair", k, s, 0, t))
+    return acc
 
 
 class TestCancellationFree:
@@ -357,6 +372,10 @@ class TestSemisimplicity:
         assert render(ariki_poly(1, 2)) == "q + 1"
         assert render(ariki_poly(2, 1)) == "Q0 - Q1"
         assert render(ariki_poly(1, 1)) == "1"
+
+    @pytest.mark.parametrize("l, n", [(l, n) for l in (1, 2, 3) for n in (1, 2, 3, 4)] + [(4, 2)])
+    def test_poly_matches_chained_reference(self, l, n):
+        assert ariki_poly(l, n) == chained_criterion(l, n)
 
     @given(criterion_cases())
     @example((CycloSpec(5, 1, 1, (0,)), 1, 1, False))
