@@ -8,17 +8,14 @@ complex reflection groups G(l,1,n) and G(l,p,n).
 from .combinatorics import (
     ChargeData,
     Dominance,
-    KappaSequence,
     Multipartition,
     Partition,
-    ShiftedSymbol,
     a_value_combinatorial,
     a_value_hook_formula,
     conjugate,
     dominates,
     enumerate_multipartitions,
     gen_hook_length,
-    kappa,
     l_symbol,
     mp,
     multiset_dominates,
@@ -26,7 +23,6 @@ from .combinatorics import (
     orbit_and_stabilizer,
     rebar,
     scaled_kappa,
-    shifted_symbol,
     sigma_action,
 )
 from .errors import DomainError, InexactDivisionError, InternalError

@@ -148,13 +148,19 @@ def _require_level(l: int | None) -> None:
         raise FlagError(f"--l must be >= 1, got {l}")
 
 
+def _require_rank(n: int) -> None:
+    if n < 0:
+        raise FlagError(f"--n must be >= 0, got {n}")
+
+
 def _spec_from_flags(args, p: int | None = None) -> CycloSpec:
-    """The CycloSpec of --e --k --r --charges, once --l, --p and the charge count are checked.
+    """The CycloSpec of --e --k --r --charges, once --l, --n, --p and the charge count are checked.
 
     Without p the charges number l; with p they number l/p or l when p
     divides l, and otherwise the library refuses p.
     """
     _require_level(args.l)
+    _require_rank(args.n)
     counts = (args.l,)
     if p is not None:
         if p < 1:
@@ -236,6 +242,7 @@ def _cmd_defect0(args) -> int:
         raise FlagError(f"expected {l} charges in --v, got {len(v)}")
     if args.n is None:
         raise FlagError("--all requires --n")
+    _require_rank(args.n)
     hits = [
         lam
         for lam in enumerate_multipartitions(l, args.n)
@@ -259,7 +266,7 @@ def _cmd_avalue(args) -> int:
         "hooks": a_value_hook_formula,
         "valuation": a_value_via_valuation,
     }
-    # str of a Fraction (or int) is canonical, so equal values print equally.
+    # Every route returns an int, so equal values print equally.
     values = {name: str(fn(lam, charge)) for name, fn in routes.items() if args.method in (name, "all")}
     return _print_routes(values, args.json)
 

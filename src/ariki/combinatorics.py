@@ -6,12 +6,11 @@ dominance orders, and the cyclic component-rotation action used for
 G(l,p,n).  Everything is exact.
 
 Every symbol entry is an integer plus c_j / r, so the symbol layer works in
-ints scaled by r: ``_scaled_rows`` builds r times each row, and kappa,
-both a-value formulas and dominance compute with ints only.
-fractions.Fraction appears at the edges: ``shifted_symbol`` and ``kappa``
-are Fraction views of the scaled rows, the a-values are returned as
-Fractions, and dominance accepts Fraction sequences, which it scales to
-ints over the lcm of their denominators.
+ints scaled by r only: ``_scaled_rows`` builds r times each row,
+``scaled_kappa`` is r times the kappa sequence, and both a-value formulas
+return ints.  Dominance compares whatever exact numbers it is given (ints,
+Fractions, any iterable of them); a positive scaling such as r leaves it
+unchanged.
 """
 
 from __future__ import annotations
@@ -19,8 +18,7 @@ from __future__ import annotations
 import enum
 import itertools
 import json
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -200,31 +198,9 @@ class ChargeData:
         return tuple(Fraction(c, self.r) for c in self.charges)
 
 
-@dataclass(frozen=True)
-class ShiftedSymbol:
-    """Rows of entries lambda_i - i + s + m_j, i = 1..s+floor(m_j), per component."""
-
-    size: int
-    rows: tuple[tuple[Fraction, ...], ...]
-
-    def __post_init__(self):
-        for row in self.rows:
-            for v in row:
-                if v < 0:
-                    raise DomainError(f"negative symbol entry {v}; size {self.size} is too small")
-
-
-@dataclass(frozen=True)
-class KappaSequence:
-    """All shifted-symbol entries in weakly decreasing order, with n_m attached."""
-
-    entries: tuple[Fraction, ...]
-    n_m: Fraction = field(compare=False)
-
-    def __post_init__(self):
-        es = self.entries
-        if any(es[i] < es[i + 1] for i in range(len(es) - 1)):
-            raise DomainError("kappa entries must be weakly decreasing")
+# Rows are size + c_j // r wide, so a far-out charge would make a symbol
+# of that many ints; _scaled_rows refuses one with more entries than this.
+MAX_SYMBOL_ENTRIES = 10**6
 
 
 def min_symbol_size(m: Multipartition, charge: ChargeData) -> int:
@@ -245,19 +221,28 @@ def min_symbol_size(m: Multipartition, charge: ChargeData) -> int:
 
 
 def _scaled_rows(m: Multipartition, charge: ChargeData, size: int) -> list[tuple[int, ...]]:
-    """The shifted symbol times r: rows r*(lambda_i - i + size) + c_j, as ints."""
+    """The shifted symbol times r: rows r*(lambda_i - i + size) + c_j, as ints.
+
+    The row widths are read first, so a symbol of more than
+    MAX_SYMBOL_ENTRIES entries is refused before any row is built.
+    """
     if charge.level != m.level:
         raise DomainError(f"charge level {charge.level} != multipartition level {m.level}")
     if size < 1:
         raise DomainError("symbol size must be >= 1")
     r = charge.r
-    rows = []
-    for comp, c in zip(m.components, charge.charges):
-        width = size + c // r
+    widths = [size + c // r for c in charge.charges]
+    for comp, width in zip(m.components, widths):
         if width < comp.length:
             raise DomainError(
                 f"symbol size {size} leaves a row of width {width} for a component of length {comp.length}"
             )
+    if sum(widths) > MAX_SYMBOL_ENTRIES:
+        raise DomainError(
+            f"the shifted symbol would have {sum(widths)} entries, above the cap of {MAX_SYMBOL_ENTRIES}"
+        )
+    rows = []
+    for comp, c, width in zip(m.components, charge.charges, widths):
         # Entry i is top - r*i plus r*lambda_i; past the last part, a range.
         top = r * size + c
         row = (
@@ -276,13 +261,6 @@ def _weighted_sum(entries: Sequence[int]) -> int:
     return sum(i * v for i, v in enumerate(entries))
 
 
-def shifted_symbol(m: Multipartition, charge: ChargeData, size: int | None = None) -> ShiftedSymbol:
-    if size is None:
-        size = min_symbol_size(m, charge)
-    rows = _scaled_rows(m, charge, size)
-    return ShiftedSymbol(size, tuple(tuple(Fraction(v, charge.r) for v in row) for row in rows))
-
-
 def scaled_kappa(m: Multipartition, charge: ChargeData, size: int | None = None) -> tuple[int, ...]:
     """r times the kappa entries, as ints in weakly decreasing order."""
     if size is None:
@@ -290,20 +268,13 @@ def scaled_kappa(m: Multipartition, charge: ChargeData, size: int | None = None)
     return tuple(sorted((v for row in _scaled_rows(m, charge, size) for v in row), reverse=True))
 
 
-def kappa(m: Multipartition, charge: ChargeData, size: int | None = None) -> KappaSequence:
-    entries = scaled_kappa(m, charge, size)
-    r = charge.r
-    return KappaSequence(tuple(Fraction(v, r) for v in entries), Fraction(_weighted_sum(entries), r))
+def a_value_combinatorial(m: Multipartition, charge: ChargeData) -> int:
+    """r * (n_m(lambda) - n_m(empty)), at a common symbol size for both, as an int.
 
-
-def a_value_combinatorial(m: Multipartition, charge: ChargeData) -> Fraction:
-    """r * (n_m(lambda) - n_m(empty)), at a common symbol size for both.
-
-    r * n_m is the weighted sum of the entries scaled by r, so this is exact
-    in ints.
+    r * n_m is the weighted sum of the entries scaled by r.
     """
     size, nil = _empty_part(charge, min_symbol_size(m, charge))
-    return Fraction(_weighted_sum(scaled_kappa(m, charge, size)) - nil)
+    return _weighted_sum(scaled_kappa(m, charge, size)) - nil
 
 
 @lru_cache(maxsize=None)
@@ -314,10 +285,10 @@ def _empty_part(charge: ChargeData, size: int) -> tuple[int, int]:
     return size, _weighted_sum(scaled_kappa(empty, charge, size))
 
 
-def a_value_hook_formula(m: Multipartition, charge: ChargeData) -> Fraction:
-    """r * (n(merged parts) - sum over cross pairs of min(hook + m_s - m_t, 0)).
+def a_value_hook_formula(m: Multipartition, charge: ChargeData) -> int:
+    """r * (n(merged parts) - sum over cross pairs of min(hook + m_s - m_t, 0)), as an int.
 
-    Summed in ints as r * hook + c_s - c_t.
+    Summed as r * hook + c_s - c_t.
     """
     if charge.level != m.level:
         raise DomainError(f"charge level {charge.level} != multipartition level {m.level}")
@@ -331,7 +302,7 @@ def a_value_hook_formula(m: Multipartition, charge: ChargeData) -> Fraction:
                 h = r * gen_hook_length(comp, other, i, j) + cs[s] - cs[t]
                 if h < 0:
                     total -= h
-    return Fraction(total)
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -344,31 +315,15 @@ class Dominance(enum.Enum):
     INCOMPARABLE = "incomparable"
 
 
-def _int_sequences(x, y) -> list[Sequence[int]]:
-    """x and y as ints over one common denominator.
-
-    Dominance is invariant under positive scaling.  Tuples and lists of ints
-    come back as they are, so a caller that converts its sequences once
-    allocates nothing per comparison.
-    """
-    seqs = [
-        v.entries if isinstance(v, KappaSequence) else v if isinstance(v, (tuple, list)) else tuple(v)
-        for v in (x, y)
-    ]
-    if all(type(v) is int for seq in seqs for v in seq):
-        return seqs
-    seqs = [[Fraction(v) for v in seq] for seq in seqs]
-    d = math.lcm(*(v.denominator for seq in seqs for v in seq))
-    return [[v.numerator * (d // v.denominator) for v in seq] for seq in seqs]
-
-
 def dominates(x, y) -> Dominance:
     """Whether x dominates y under partial sums (after zero-padding).
+
+    x and y are iterables of exact numbers: ints, Fractions, or a mix.
 
     STRICT means x != y with every partial sum of x >= that of y; EQUAL
     means identical sequences; INCOMPARABLE covers everything else.
     """
-    xs, ys = _int_sequences(x, y)
+    xs, ys = tuple(x), tuple(y)
     if sum(xs) != sum(ys):
         raise DomainError("dominance is only defined for sequences with equal totals")
     run = 0
@@ -383,7 +338,7 @@ def dominates(x, y) -> Dominance:
 
 def multiset_dominates(x: Iterable, y: Iterable) -> bool:
     """Dominance (>= in every partial sum) of the decreasingly sorted multisets."""
-    xs, ys = _int_sequences(x, y)
+    xs, ys = tuple(x), tuple(y)
     if len(xs) != len(ys):
         raise DomainError("multiset dominance needs equal cardinalities")
     if sum(xs) != sum(ys):

@@ -350,8 +350,15 @@ def product_divide(l: int, factors: Iterable[MultiLaurent]) -> MultiLaurent:
 
 def _signed(c: int, unit: str) -> str:
     # The text before a term's monomial: its sign, then its coefficient
-    # followed by ``unit`` if that is not 1.
-    return f" + {c}{unit}" if c > 0 else f" - {-c}{unit}"
+    # followed by ``unit``.  Before a monomial (``unit`` not empty) a
+    # coefficient of +-1 is only its sign.
+    body = "" if unit and abs(c) == 1 else f"{abs(c)}{unit}"
+    return f" + {body}" if c > 0 else f" - {body}"
+
+
+def _lead(first: str) -> str:
+    # The first term's text: its " + " dropped, its " - " a bare minus.
+    return first[3:] if first[1] == "+" else f"-{first[3:]}"
 
 
 def _power(name: str, e: int, sep: str) -> str:
@@ -394,7 +401,7 @@ def render_product(l: int, factors: Iterable[MultiLaurent]) -> str:
         q_grid[r * n_cols:(r + 1) * n_cols] = [_power("q", e, "") for e in range(lead[r], lead[r] + n_cols)]
         if 0 <= -lead[r] < n_cols and coeffs[r * n_cols - lead[r]]:
             constant = r
-    coef_text = {c: " + " if c == 1 else " - " if c == -1 else _signed(c, "*") for c in set(coeffs)}
+    coef_text = {c: _signed(c, "*") for c in set(coeffs)}
     pieces: list[str] = []
     for j in range(n_cols - 1, -1, -1):
         col = coeffs[j::n_cols]
@@ -406,7 +413,7 @@ def render_product(l: int, factors: Iterable[MultiLaurent]) -> str:
             pieces[at + 3 * (constant - col[:constant].count(0))] = _signed(col[constant], "")
     # The grid and the per-cell q strings are freed before the text is joined.
     del grid, coeffs, col, q_grid
-    pieces[0] = pieces[0][3:] if pieces[0][1] == "+" else f"-{pieces[0][3:]}"
+    pieces[0] = _lead(pieces[0])
     return "".join(pieces)
 
 
@@ -588,18 +595,12 @@ class CyclotomicInt:
         return f"CyclotomicInt({self.n}, {self.coeffs})"
 
     def render(self, var: str = "z") -> str:
-        parts = []
-        for e, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            mono = "" if e == 0 else (var if e == 1 else f"{var}^{e}")
-            mag = abs(c)
-            body = mono if (mono and mag == 1) else (f"{mag}*{mono}" if mono else str(mag))
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts) if parts else "0"
+        """Powers ascending, e.g. ``1 - z + 2*z^3``, in ``render_product``'s term grammar."""
+        pieces = [_signed(c, "*" if e else "") + _power(var, e, "") for e, c in enumerate(self.coeffs) if c]
+        if not pieces:
+            return "0"
+        pieces[0] = _lead(pieces[0])
+        return "".join(pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -677,18 +678,12 @@ class CycloLaurent:
         return f"CycloLaurent({self.n}, {self.render()!r})"
 
     def render(self) -> str:
+        """Powers of u descending, e.g. ``(1 + z)*u^2 + (-z)``."""
         if not self.terms:
             return "0"
-        parts = []
-        for e in sorted(self.terms, reverse=True):
-            c = self.terms[e].render()
-            if e == 0:
-                parts.append(f"({c})")
-            elif e == 1:
-                parts.append(f"({c})*u")
-            else:
-                parts.append(f"({c})*u^{e}")
-        return " + ".join(parts)
+        # _power("*u", e, "") is "" for e = 0, "*u" for e = 1 and "*u^e" otherwise.
+        terms = sorted(self.terms.items(), reverse=True)
+        return " + ".join(f"({c.render()}){_power('*u', e, '')}" for e, c in terms)
 
 
 # ---------------------------------------------------------------------------

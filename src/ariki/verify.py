@@ -39,7 +39,6 @@ from .combinatorics import (
     a_value_hook_formula,
     dominates,
     enumerate_multipartitions,
-    kappa,
     min_symbol_size,
     multipartition_to_json,
     multiset_dominates,
@@ -580,7 +579,7 @@ def verify_example_basic_set():
     # three-route a-value agreement on the basic set.
     charge = spec.charge_data()
     size = max(min_symbol_size(lam, charge) for lam in bs.elements)
-    kappas = [kappa(lam, charge, size).entries for lam in bs.elements]
+    kappas = [scaled_kappa(lam, charge, size) for lam in bs.elements]
     yield 1, None if len(set(kappas)) == len(kappas) else "kappa sequences should be pairwise distinct"
     for lam in bs.elements:
         a = a_value_combinatorial(lam, charge)

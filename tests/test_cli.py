@@ -446,6 +446,23 @@ class TestAvalueCommand:
         assert json.loads(out) == {"combinatorial": honest, "hooks": wrong, "valuation": honest, "agree": False}
 
 
+    def test_huge_symbol_is_refused(self):
+        # A charge of 10^20 would make the combinatorial route build a row of
+        # 10^20 ints; the other two routes read no symbol and still answer.
+        argv = [sys.executable, "-m", "ariki.cli", "avalue", "--lambda", "[[1]]", "--r", "1",
+                "--charges", "99999999999999999999"]
+        proc = subprocess.run(argv, capture_output=True, text=True, timeout=10)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == (
+            "error: the shifted symbol would have 100000000000000000001 entries, above the cap of 1000000\n"
+        )
+        argv = [sys.executable, "-m", "ariki.cli", "avalue", "--lambda", "[[2,1],[1]]", "--r", "2",
+                "--charges", "99999999999999999999,-5"]
+        for method in ("hooks", "valuation"):
+            proc = subprocess.run([*argv, "--method", method], capture_output=True, text=True, timeout=10)
+            assert (proc.returncode, proc.stdout, proc.stderr) == (0, "100000000000000000006\n", "")
+
+
 class TestBasicSetCommands:
     def test_worked_example_text(self, capsys):
         code, out, _ = run_cli(
@@ -581,6 +598,26 @@ class TestGroupFlag:
     def test_p_not_dividing_l_is_left_to_the_library(self, capsys):
         code, out, err = run_cli(capsys, *"basicset-gpn --l 4 --p 3 --n 3 --e 4 --r 1 --charges 0".split())
         assert (code, out, err) == (1, "", "error: p must divide l: 3 does not divide 4\n")
+
+
+class TestRankFlag:
+    # A negative --n is a flag error; --n 0 is a valid rank.
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "semisimple --l 2 --n -1 --e 3 --r 1 --charges 0,1",
+            "defect0 --all --n -1 --e 3 --v 0,1",
+            "basicset --l 2 --n -1 --e 3 --r 1 --charges 0,1",
+            "basicset-gpn --l 2 --p 2 --n -1 --e 3 --r 1 --charges 0",
+        ],
+    )
+    def test_negative_rank_is_a_flag_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv.split())
+        assert (code, out, err) == (2, "", "error: --n must be >= 0, got -1\n")
+
+    def test_rank_zero_basic_set(self, capsys):
+        code, out, err = run_cli(capsys, *"basicset --l 2 --n 0 --e 3 --r 1 --charges 0,1".split())
+        assert (code, out, err) == (0, "[[],[]]\n", "")
 
 
 class TestHelpIsPinned:

@@ -9,12 +9,13 @@ from hypothesis import strategies as st
 import ariki.combinatorics as combinatorics
 from ariki.combinatorics import (
     EMPTY,
+    MAX_SYMBOL_ENTRIES,
     ChargeData,
     Dominance,
-    KappaSequence,
     Multipartition,
     Partition,
-    ShiftedSymbol,
+    _scaled_rows,
+    _weighted_sum,
     a_value_combinatorial,
     a_value_hook_formula,
     canonical_key,
@@ -22,7 +23,6 @@ from ariki.combinatorics import (
     dominates,
     enumerate_multipartitions,
     gen_hook_length,
-    kappa,
     l_symbol,
     min_symbol_size,
     mp,
@@ -35,7 +35,6 @@ from ariki.combinatorics import (
     partitions_of,
     rebar,
     scaled_kappa,
-    shifted_symbol,
     sigma_action,
 )
 from ariki.errors import DomainError
@@ -125,32 +124,45 @@ class TestLSymbol:
 
 
 class TestShiftedSymbols:
+    # Symbols, kappa and n_m are all r times their values, as ints.
     def test_symbol_example(self):
         charge = ChargeData(1, (0, 0))
-        sym = shifted_symbol(mp([1], [1]), charge, 1)
-        assert sym.rows == ((Fraction(1),), (Fraction(1),))
-        ks = kappa(mp([1], [1]), charge, 1)
-        assert ks.entries == (Fraction(1), Fraction(1))
-        assert ks.n_m == 1
+        assert _scaled_rows(mp([1], [1]), charge, 1) == [(1,), (1,)]
+        ks = scaled_kappa(mp([1], [1]), charge, 1)
+        assert ks == (1, 1)
+        assert _weighted_sum(ks) == 1
 
     def test_empty_symbol_example(self):
         charge = ChargeData(1, (0, 0))
-        ks = kappa(mp([], []), charge, 2)
-        assert ks.entries == (1, 1, 0, 0)
-        assert ks.n_m == 1
+        ks = scaled_kappa(mp([], []), charge, 2)
+        assert ks == (1, 1, 0, 0)
+        assert _weighted_sum(ks) == 1
 
     def test_fractional_charges(self):
-        # charges (3,-1)/6: rows at size 2 are (5/2, 1/2) and (11/6,)
+        # charges (3,-1)/6: rows at size 2 are (5/2, 1/2) and (11/6,), times 6
         charge = ChargeData(6, (3, -1))
-        sym = shifted_symbol(mp([1], [1]), charge, 2)
-        assert sym.rows == (
-            (Fraction(5, 2), Fraction(1, 2)),
-            (Fraction(11, 6),),
-        )
+        assert _scaled_rows(mp([1], [1]), charge, 2) == [(15, 3), (11,)]
 
     def test_size_too_small_rejected(self):
         with pytest.raises(DomainError):
-            shifted_symbol(mp([1, 1, 1], []), ChargeData(1, (0, 0)), 2)
+            _scaled_rows(mp([1, 1, 1], []), ChargeData(1, (0, 0)), 2)
+
+    def test_huge_symbol_refused_before_any_row_is_built(self, monkeypatch):
+        # The widths are size + c // r; none of the rows' ints is made.
+        monkeypatch.setattr(combinatorics, "range", lambda *a: pytest.fail("a row was built"), raising=False)
+        for charges, count in (((10**20,), 10**20 + 2), ((MAX_SYMBOL_ENTRIES, 0), MAX_SYMBOL_ENTRIES + 4)):
+            lam = Multipartition((EMPTY,) * len(charges))
+            with pytest.raises(DomainError) as exc:
+                _scaled_rows(lam, ChargeData(1, charges), 2)
+            assert str(exc.value) == (
+                f"the shifted symbol would have {count} entries, above the cap of {MAX_SYMBOL_ENTRIES}"
+            )
+
+    def test_symbol_at_the_cap_is_built(self):
+        charge = ChargeData(1, (MAX_SYMBOL_ENTRIES - 4, 0))
+        rows = _scaled_rows(mp([1], []), charge, 2)
+        assert sum(map(len, rows)) == MAX_SYMBOL_ENTRIES
+        assert a_value_combinatorial(mp([1], []), charge) == a_value_hook_formula(mp([1], []), charge)
 
     def test_a_value_invariant_under_size_shift(self):
         charges = [
@@ -165,8 +177,10 @@ class TestShiftedSymbols:
                 base = max(min_symbol_size(lam, charge), min_symbol_size(empty, charge))
                 values = []
                 for size in (base, base + 1, base + 2):
+                    # r * (n_m(lam) - n_m(empty)), each r * n_m summed from the scaled kappa.
                     values.append(
-                        charge.r * (kappa(lam, charge, size).n_m - kappa(empty, charge, size).n_m)
+                        _weighted_sum(scaled_kappa(lam, charge, size))
+                        - _weighted_sum(scaled_kappa(empty, charge, size))
                     )
                 assert values[0] == values[1] == values[2]
                 assert values[0] == a_value_combinatorial(lam, charge)
@@ -316,7 +330,7 @@ def _ref_a_value_hook_formula(m, charge):
 
 
 def _ref_entries(x):
-    return x.entries if isinstance(x, KappaSequence) else tuple(Fraction(v) for v in x)
+    return tuple(Fraction(v) for v in x)
 
 
 def _ref_dominates(x, y):
@@ -398,19 +412,21 @@ class TestScaledIntegerKernel:
         assert base == _ref_min_symbol_size(lam, charge)
         assert a_value_combinatorial(lam, charge) == _ref_a_value_combinatorial(lam, charge)
         assert a_value_hook_formula(lam, charge) == _ref_a_value_hook_formula(lam, charge)
-        assert type(a_value_combinatorial(lam, charge)) is type(a_value_hook_formula(lam, charge)) is Fraction
-        # Sizes below the minimum either build the same symbol or fail alike.
+        assert type(a_value_combinatorial(lam, charge)) is type(a_value_hook_formula(lam, charge)) is int
+        # Sizes below the minimum either build r times the same symbol or fail alike.
+        r = charge.r
         for size in (base + offset, base - 1 - offset):
             ref = _outcome(_ref_symbol_rows, lam, charge, size)
-            got = _outcome(shifted_symbol, lam, charge, size)
+            got = _outcome(_scaled_rows, lam, charge, size)
             assert got[0] == ref[0]
             if ref[0] == "error":
-                assert got[1] == ref[1] == _outcome(kappa, lam, charge, size)[1]
+                assert got[1] == ref[1] == _outcome(scaled_kappa, lam, charge, size)[1]
                 continue
-            assert got[1] == ShiftedSymbol(size, ref[1])
-            ks = kappa(lam, charge, size)
-            assert (ks.entries, ks.n_m) == _ref_kappa(lam, charge, size)
-            assert scaled_kappa(lam, charge, size) == tuple(v * charge.r for v in ks.entries)
+            assert got[1] == [tuple(r * v for v in row) for row in ref[1]]
+            ref_entries, ref_n_m = _ref_kappa(lam, charge, size)
+            ks = scaled_kappa(lam, charge, size)
+            assert ks == tuple(r * v for v in ref_entries)
+            assert _weighted_sum(ks) == r * ref_n_m
 
     @given(sequence_pairs())
     @settings(max_examples=400, deadline=None)
@@ -424,12 +440,11 @@ class TestScaledIntegerKernel:
 
     def test_domain_errors_keep_their_text(self):
         cases = [
-            (shifted_symbol, (mp([1, 1, 1], []), ChargeData(1, (0, 0)), 2),
+            (_scaled_rows, (mp([1, 1, 1], []), ChargeData(1, (0, 0)), 2),
              "symbol size 2 leaves a row of width 2 for a component of length 3"),
-            (kappa, (mp([1], [1]), ChargeData(6, (3, -13)), 2),
+            (scaled_kappa, (mp([1], [1]), ChargeData(6, (3, -13)), 2),
              "symbol size 2 leaves a row of width -1 for a component of length 1"),
-            (kappa, (mp([1]), ChargeData(1, (0,)), 0), "symbol size must be >= 1"),
-            (ShiftedSymbol, (1, ((Fraction(1), Fraction(-1, 2)),)), "negative symbol entry -1/2; size 1 is too small"),
+            (scaled_kappa, (mp([1]), ChargeData(1, (0,)), 0), "symbol size must be >= 1"),
             (dominates, ((2, 1), (1, 1)), "dominance is only defined for sequences with equal totals"),
             (dominates, ((Fraction(1, 2),), (1,)), "dominance is only defined for sequences with equal totals"),
             (multiset_dominates, ([1, 2], [3]), "multiset dominance needs equal cardinalities"),
@@ -441,8 +456,8 @@ class TestScaledIntegerKernel:
             assert str(exc.value) == text
 
     def test_no_fraction_arithmetic_in_the_hot_loops(self, monkeypatch):
-        # A count, not a wall time: each a-value builds its one return value,
-        # and dominance on int sequences builds none.
+        # A count, not a wall time: neither the a-values nor dominance on int
+        # sequences builds a Fraction.
         made = []
 
         class Counting(Fraction):
@@ -457,7 +472,7 @@ class TestScaledIntegerKernel:
             for lam in lams:
                 made.clear()
                 fn(lam, charge)
-                assert len(made) == 1, (fn.__name__, lam)
+                assert len(made) == 0, (fn.__name__, lam)
         made.clear()
         kappas = [scaled_kappa(lam, charge, 6) for lam in lams]
         results = [dominates(x, y) for x in kappas for y in kappas]

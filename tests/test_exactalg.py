@@ -14,6 +14,7 @@ from ariki.exactalg import (
     MultiLaurent,
     SpecMap,
     _over_binomial,
+    _phi,
     _poly_mul,
     _reduce_mod_cyclotomic,
     _times_binomial,
@@ -495,6 +496,51 @@ class TestCyclotomic:
     def test_mixed_conductors_rejected(self):
         with pytest.raises(DomainError):
             CyclotomicInt.from_int(3, 1) + CyclotomicInt.from_int(4, 1)
+
+
+def _ref_cyclo_render(x, var="z"):
+    """Term-by-term rendering of a CyclotomicInt, each term's sign and magnitude spelled out."""
+    parts = []
+    for e, c in enumerate(x.coeffs):
+        if c:
+            mono = "" if e == 0 else var if e == 1 else f"{var}^{e}"
+            body = mono if mono and abs(c) == 1 else f"{abs(c)}*{mono}" if mono else str(abs(c))
+            parts.append((body if c > 0 else f"-{body}") if not parts else (f"+ {body}" if c > 0 else f"- {body}"))
+    return " ".join(parts) or "0"
+
+
+def _ref_laurent_render(f):
+    parts = [f"({f.terms[e].render()})" + ("" if e == 0 else "*u" if e == 1 else f"*u^{e}")
+             for e in sorted(f.terms, reverse=True)]
+    return " + ".join(parts) or "0"
+
+
+@st.composite
+def cyclo_laurents(draw):
+    n = draw(st.integers(1, 30))
+    coeff = st.one_of(st.sampled_from([0, 1, -1]), st.integers(-50, 50))
+    element = st.lists(coeff, min_size=_phi(n), max_size=_phi(n)).map(lambda cs: CyclotomicInt(n, cs))
+    return CycloLaurent(n, draw(st.dictionaries(st.integers(-5, 5), element, max_size=4)))
+
+
+class TestCycloRendering:
+    def test_examples(self):
+        assert CyclotomicInt(4, (1, -1)).render() == "1 - z"
+        assert CyclotomicInt(6, (-1, 3)).render("w") == "-1 + 3*w"
+        assert CyclotomicInt(5, (0, -1, 0, -2)).render() == "-z - 2*z^3"
+        assert CyclotomicInt.zero(3).render() == "0"
+        one, z = CyclotomicInt.from_int(4, 1), CyclotomicInt.zeta_power(4, 1)
+        f = CycloLaurent(4, {-2: one + z, 0: -z, 1: one})
+        assert f.render() == "(1)*u + (-z) + (1 + z)*u^-2"
+        assert CycloLaurent.zero(4).render() == "0"
+
+    @given(cyclo_laurents())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_term_by_term_rendering(self, f):
+        assert f.render() == _ref_laurent_render(f)
+        for x in f.terms.values():
+            assert x.render() == _ref_cyclo_render(x)
+            assert x.render("w") == _ref_cyclo_render(x, "w")
 
 
 class TestCycloLaurent:
