@@ -52,6 +52,7 @@ from .basicset import (
     BasicSet,
     DMPartition,
     OrbitDatum,
+    OrbitLabelling,
     UglovCharge,
     assemble_basic_set,
     assemble_basic_set_gpn,

@@ -7,6 +7,11 @@ from the empty multipartition in a Fock-space crystal, then reassemble
 over all ways of distributing the rank.  For G(l,p,n) the resulting set
 is grouped into orbits of the cyclic component rotation.
 
+A class of one index needs no crystal walk: at level 1 the reachable
+partitions of rank k are the e'-regular partitions of k, those with no
+part repeated e' or more times (Misra-Miwa), and they are generated
+directly.  The walk below serves the classes of level >= 2.
+
 The classes and charges are read off the same exponents as the
 semisimplicity criterion: ``schur.zeta_exponents`` sends q to zeta_N^a
 and Q_j to zeta_N^(A_j), N = lcm(l, e), and every coincidence test and
@@ -23,9 +28,9 @@ The crystal convention is pinned once and for all here:
 * the good node is the earliest surviving addable one.
 
 One walk down the rims of a vertex reads the good node of every residue
-at once (`_good_nodes`); the breadth-first search follows each arrow it
-returns, and `f_tilde` is a lookup into the same reading.  The convention
-above is unchanged by this.
+at once (`_good_nodes`); the breadth-first search (`_crystal_walk`)
+follows each arrow it returns, and `f_tilde` is a lookup into the same
+reading.  The convention above is unchanged by this.
 
 The search keeps every vertex as a bare tuple of part tuples.  Partition
 and Multipartition objects are built, and sorted, only where they are
@@ -48,7 +53,6 @@ from .combinatorics import (
     enumerate_multipartitions,
     multipartition_to_json,
     orbit_and_stabilizer,
-    partitions_of,
     sigma_action,
 )
 from .errors import DomainError, InternalError
@@ -237,33 +241,28 @@ def f_tilde(m: Multipartition, t: int, charge: UglovCharge) -> Multipartition | 
     return Multipartition(tuple(Partition(p) for p in _add_node(comps, *node)))
 
 
-def uglov_levels(lc: int, n_max: int, charge: UglovCharge) -> list[set[tuple[tuple[int, ...], ...]]]:
-    """Reachable vertices at every rank 0..n_max, unordered.
+def _regular_layers(n_max: int, ep: int) -> list[set[tuple[tuple[int, ...], ...]]]:
+    """The partitions of every rank 0..n_max with no part repeated ep or more times, as level-1 vertices.
 
-    A vertex is the tuple of its components' parts.  No Partition is
-    validated and no layer is sorted here: callers build and order only the
-    layers they emit.
+    Built one part size at a time: size j adds m < ep copies of j in front of
+    every partition, one rank j*m down, whose parts are all below j.  With
+    ep = 1 no multiplicity is bounded, so every partition is built.
     """
-    if lc < 1 or n_max < 0:
-        raise DomainError("need lc >= 1 and n_max >= 0")
-    if len(charge.s) != lc:
-        raise DomainError(f"charge has {len(charge.s)} entries for level {lc}")
-    empty = ((),) * lc
-    if charge.e_prime < 1:
-        raise DomainError("quantum characteristic must be >= 1")
-    if charge.e_prime == 1:
-        # eta^r = 1: the component algebra is semisimple only in the
-        # level-1 (or rank-0) situation, where every label survives.
-        if lc == 1:
-            return [{(p.parts,) for p in partitions_of(k)} for k in range(n_max + 1)]
-        if n_max == 0:
-            return [{empty}]
-        raise DomainError(
-            "quantum characteristic 1 with a level >= 2 class: "
-            "the component algebra is not semisimple and no crystal applies"
-        )
+    cap = ep - 1 if ep > 1 else n_max
+    layers: list[list[tuple[int, ...]]] = [[()]] + [[] for _ in range(n_max)]
+    for j in range(1, n_max + 1):
+        # Descending ranks: layers[k - j*m] is read before size j reaches it.
+        for k in range(n_max, j - 1, -1):
+            for m in range(1, min(cap, k // j) + 1):
+                head = (j,) * m
+                layers[k].extend(head + x for x in layers[k - j * m])
+    return [{(x,) for x in layer} for layer in layers]
+
+
+def _crystal_walk(lc: int, n_max: int, charge: UglovCharge) -> list[set[tuple[tuple[int, ...], ...]]]:
+    """The crystal component of the empty multipartition, layer by layer, by breadth-first search (e' >= 2)."""
     s, ep = charge.s, charge.e_prime
-    frontier = {empty}
+    frontier = {((),) * lc}
     levels = [frontier]
     for rank in range(1, n_max + 1):
         frontier = {
@@ -274,6 +273,38 @@ def uglov_levels(lc: int, n_max: int, charge: UglovCharge) -> list[set[tuple[tup
                 raise InternalError(f"a crystal arrow reached rank {sum(map(sum, x))} in layer {rank}")
         levels.append(frontier)
     return levels
+
+
+def uglov_levels(lc: int, n_max: int, charge: UglovCharge) -> list[set[tuple[tuple[int, ...], ...]]]:
+    """Reachable vertices at every rank 0..n_max, unordered.
+
+    A vertex is the tuple of its components' parts.  At level 1 the crystal
+    component of the empty partition is known in closed form: its rank-k
+    layer is the e'-regular partitions of k (no part repeated e' or more
+    times), whatever the charge, so those are generated directly.  Levels
+    >= 2 are found by a breadth-first walk along the crystal arrows.  No
+    Partition is validated and no layer is sorted here: callers build and
+    order only the layers they emit.
+    """
+    if lc < 1 or n_max < 0:
+        raise DomainError("need lc >= 1 and n_max >= 0")
+    if len(charge.s) != lc:
+        raise DomainError(f"charge has {len(charge.s)} entries for level {lc}")
+    if charge.e_prime < 1:
+        raise DomainError("quantum characteristic must be >= 1")
+    if lc == 1:
+        # With e' = 1 (eta^r = 1) the level-1 component algebra is
+        # semisimple and every partition survives: no multiplicity bound.
+        return _regular_layers(n_max, charge.e_prime)
+    if charge.e_prime == 1:
+        # eta^r = 1 with a level >= 2 class: semisimple only at rank 0.
+        if n_max == 0:
+            return [{((),) * lc}]
+        raise DomainError(
+            "quantum characteristic 1 with a level >= 2 class: "
+            "the component algebra is not semisimple and no crystal applies"
+        )
+    return _crystal_walk(lc, n_max, charge)
 
 
 def uglov_multipartitions(lc: int, nc: int, charge: UglovCharge) -> tuple[Multipartition, ...]:
@@ -306,6 +337,14 @@ class OrbitDatum:
     def __post_init__(self):
         if len(self.labels) != self.stabilizer_size:
             raise InternalError(f"{len(self.labels)} labels for a stabilizer of size {self.stabilizer_size}")
+
+
+@dataclass(frozen=True)
+class OrbitLabelling:
+    """The rotation orbits of a G(l,p,n) basic set, with the ambient set's diagnostics."""
+
+    orbits: tuple[OrbitDatum, ...]
+    diagnostics: tuple[str, ...] = ()
 
 
 def assemble_basic_set(spec: CycloSpec, l: int, n: int) -> BasicSet:
@@ -349,12 +388,12 @@ def assemble_basic_set(spec: CycloSpec, l: int, n: int) -> BasicSet:
     return BasicSet(tuple(elements), spec, l, n, diagnostics)
 
 
-def assemble_basic_set_gpn(spec: CycloSpec, l: int, p: int, n: int) -> tuple[OrbitDatum, ...]:
+def assemble_basic_set_gpn(spec: CycloSpec, l: int, p: int, n: int) -> OrbitLabelling:
     """Rotation-orbit labelling of the basic set for G(l,p,n).
 
     The charges of `spec` may be given as the d-block (d = l/p) or as the
     full p-periodic l-vector; the ambient G(l,1,n) parameters use p*r and
-    the tiled charges.
+    the tiled charges.  The ambient set's diagnostics come with the orbits.
     """
     if p < 1:
         raise DomainError("p must be >= 1")
@@ -398,4 +437,4 @@ def assemble_basic_set_gpn(spec: CycloSpec, l: int, p: int, n: int) -> tuple[Orb
     data.sort(key=lambda o: canonical_key(o.representative))
     if sum(o.orbit_size for o in data) != len(bs.elements):
         raise InternalError("the rotation orbits do not partition the basic set")
-    return tuple(data)
+    return OrbitLabelling(tuple(data), bs.diagnostics)

@@ -275,11 +275,15 @@ def _params_obj(spec: CycloSpec, l: int, n: int) -> dict:
     return {"l": l, "n": n, "e": spec.e, "k": spec.k, "r": spec.r, "charges": list(spec.charges)}
 
 
+def _warn(diagnostics: tuple[str, ...]) -> None:
+    for diag in diagnostics:
+        print(f"warning: {diag}", file=sys.stderr)
+
+
 def _cmd_basicset(args) -> int:
     spec = _spec_from_flags(args)
     bs = assemble_basic_set(spec, args.l, args.n)
-    for diag in bs.diagnostics:
-        print(f"warning: {diag}", file=sys.stderr)
+    _warn(bs.diagnostics)
     if args.json:
         print(
             json.dumps(
@@ -297,7 +301,9 @@ def _cmd_basicset(args) -> int:
 
 def _cmd_basicset_gpn(args) -> int:
     spec = _spec_from_flags(args, args.p)
-    orbits = assemble_basic_set_gpn(spec, args.l, args.p, args.n)
+    labelling = assemble_basic_set_gpn(spec, args.l, args.p, args.n)
+    _warn(labelling.diagnostics)
+    orbits = labelling.orbits
     if args.json:
         print(
             json.dumps(

@@ -597,7 +597,7 @@ def verify_example_orbits():
     expected = {"[[1],[1],[]]", "[[],[1],[1]]", "[[1],[],[1]]", "[[2],[],[]]", "[[],[2],[]]", "[[],[],[2]]"}
     yield 1, None if elements == expected else f"ambient basic set {elements}"
     yield 1, None if len(bs2.elements) == 6 else "ambient basic set size"
-    orbits = assemble_basic_set_gpn(spec2, 3, 3, 2)
+    orbits = assemble_basic_set_gpn(spec2, 3, 3, 2).orbits
     yield 1, None if len(orbits) == 2 else f"orbit count {len(orbits)}"
     reps = {multipartition_to_json(o.representative) for o in orbits}
     yield 1, None if reps == {"[[1],[1],[]]", "[[2],[],[]]"} else f"orbit representatives {reps}"

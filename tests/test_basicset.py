@@ -1,14 +1,18 @@
+import importlib.util
 import itertools
 import math
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from ariki import basicset, cli
 from ariki.basicset import (
     UglovCharge,
+    _crystal_walk,
     assemble_basic_set,
     assemble_basic_set_gpn,
     charge_for,
@@ -236,6 +240,11 @@ class TestCrystal:
 
     def test_degenerate_characteristic(self):
         assert jset(uglov_multipartitions(1, 2, UglovCharge(1, (0,)))) == {"[[2]]", "[[1,1]]"}
+        # e' = 1 at level 1: every partition survives, with no multiplicity bound.
+        from ariki.combinatorics import partitions_of
+
+        levels = uglov_levels(1, 10, UglovCharge(1, (0,)))
+        assert levels == [{(p.parts,) for p in partitions_of(n)} for n in range(11)]
         assert jset(uglov_multipartitions(2, 0, UglovCharge(1, (0, 0)))) == {"[[],[]]"}
         with pytest.raises(DomainError):
             uglov_multipartitions(2, 1, UglovCharge(1, (0, 0)))
@@ -355,6 +364,54 @@ class TestOnePassCrystal:
                     assert f_tilde(x, t, charge) == _reference_f_tilde(x, t, charge), (x, t)
 
 
+class TestLevelOneGenerator:
+    """Level-1 layers are generated as e'-regular partitions; the crystal walk is their oracle."""
+
+    @pytest.mark.parametrize("ep", range(2, 13))
+    def test_matches_the_walk_up_to_rank_20(self, ep):
+        for s in (0, -3):
+            charge = UglovCharge(ep, (s,))
+            assert uglov_levels(1, 20, charge) == _crystal_walk(1, 20, charge)
+
+    @pytest.mark.parametrize("n, ep", [(28, 8), (27, 6), (23, 12), (26, 4), (22, 8)])
+    def test_matches_the_walk_on_large_ranks(self, n, ep):
+        charge = UglovCharge(ep, (1,))
+        assert uglov_levels(1, n, charge) == _crystal_walk(1, n, charge)
+
+    def test_walks_no_crystal(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a level-1 layer walked the crystal")
+
+        monkeypatch.setattr(basicset, "_good_nodes", refuse)
+        for ep in (1, 2, 5):
+            assert len(uglov_levels(1, 12, UglovCharge(ep, (0,)))) == 13
+        with pytest.raises(AssertionError, match="walked"):
+            uglov_levels(2, 1, UglovCharge(2, (0, 0)))
+
+    def test_good_node_calls_on_the_benchmark_round(self, monkeypatch, capsys):
+        # Every op of round 0 of the benchmark's basicset workload (seed 0),
+        # counting the good-node readings that the crystal walk makes.  Only
+        # classes of level >= 2 walk; the walk made 49,247 readings when
+        # level-1 classes were walked too, 40,231 of them in level-1 ops.
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        honest, calls = basicset._good_nodes, Counter()
+
+        def counting(*args):
+            calls[level] += 1
+            return honest(*args)
+
+        monkeypatch.setattr(basicset, "_good_nodes", counting)
+        for op in workloads.round_ops("basicset", 0, 0):
+            level = op["argv"][1]
+            assert cli.main(op["argv"]) == 0
+        capsys.readouterr()
+        assert calls["--l=1"] == 0
+        assert sum(calls.values()) == 7571
+
+
 @st.composite
 def non_semisimple_specs(draw):
     """(spec, l, n) with l <= 3, n <= 6, e' >= 2 and a non-semisimple algebra."""
@@ -453,7 +510,7 @@ class TestAssembleBasicSet:
 class TestGPN:
     def test_worked_example(self):
         spec = CycloSpec(e=12, k=1, r=2, charges=(0,))
-        orbits = assemble_basic_set_gpn(spec, 3, 3, 2)
+        orbits = assemble_basic_set_gpn(spec, 3, 3, 2).orbits
         assert len(orbits) == 2
         assert {multipartition_to_json(o.representative) for o in orbits} == {
             "[[1],[1],[]]",
@@ -479,7 +536,7 @@ class TestGPN:
 
     def test_p1_matches_basic_set(self):
         spec = CycloSpec(e=4, k=1, r=1, charges=(0, 1))
-        orbits = assemble_basic_set_gpn(spec, 2, 1, 3)
+        orbits = assemble_basic_set_gpn(spec, 2, 1, 3).orbits
         bs = assemble_basic_set(spec, 2, 3)
         assert {o.representative for o in orbits} == set(bs.elements)
         assert all(o.orbit_size == 1 and o.stabilizer_size == 1 for o in orbits)
@@ -488,6 +545,14 @@ class TestGPN:
         short = assemble_basic_set_gpn(CycloSpec(e=12, k=1, r=2, charges=(0,)), 3, 3, 2)
         full = assemble_basic_set_gpn(CycloSpec(e=12, k=1, r=2, charges=(0, 0, 0)), 3, 3, 2)
         assert short == full
+
+    def test_labelling_carries_the_ambient_diagnostics(self):
+        labelling = assemble_basic_set_gpn(CycloSpec(e=6, k=1, r=1, charges=(-2, 2)), 6, 3, 2)
+        ambient = assemble_basic_set(CycloSpec(e=6, k=1, r=3, charges=(-2, 2) * 3), 6, 2)
+        assert len(ambient.diagnostics) == 6
+        assert labelling.diagnostics == ambient.diagnostics
+        assert {o.representative for o in labelling.orbits} <= set(ambient.elements)
+        assert assemble_basic_set_gpn(CycloSpec(e=12, k=1, r=2, charges=(0,)), 3, 3, 2).diagnostics == ()
 
     def test_preconditions(self):
         spec = CycloSpec(e=4, k=1, r=1, charges=(0,))
@@ -518,7 +583,7 @@ class TestGPN:
             k = rng.choice([x for x in range(1, e) if __import__("math").gcd(x, e) == 1])
             r = rng.randint(1, 3)
             spec = CycloSpec(e=e, k=k, r=r, charges=(rng.randint(-3, 3),))
-            orbits = assemble_basic_set_gpn(spec, 2, 2, 3)
+            orbits = assemble_basic_set_gpn(spec, 2, 2, 3).orbits
             ambient = CycloSpec(e, k, 2 * r, spec.charges * 2)
             bs = assemble_basic_set(ambient, 2, 3)
             assert is_semisimple(ambient, 2, 3) == schur_scan(ambient, 2, 3)

@@ -14,7 +14,7 @@ from types import SimpleNamespace
 import pytest
 
 from ariki import cli, schur
-from ariki.basicset import dm_partition
+from ariki.basicset import OrbitLabelling, dm_partition
 from ariki.cli import main
 from ariki.combinatorics import mp, multipartition_to_json
 from ariki.errors import InternalError
@@ -546,22 +546,65 @@ class TestBasicSetCommands:
         assert hashlib.sha256(proc.stdout).hexdigest() == digest
 
     @pytest.mark.parametrize(
-        "argv, digest",
+        "argv, digest, warnings",
         [
             # dm_partition gives the classes (0, 2) and (1,).
             ("basicset --l=3 --n=7 --e=12 --k=1 --r=2 --charges=0,-3,-2 --json",
-             "3d32538951a8df1b6347ac9e4a3b57c3b2b489c3d0ab8c7d4727ee8a952a0f6f"),
-            # The ambient G(6,1,6) set has the classes (0, 3), (1, 4) and (2, 5).
+             "3d32538951a8df1b6347ac9e4a3b57c3b2b489c3d0ab8c7d4727ee8a952a0f6f", 0),
+            # The ambient G(6,1,6) set has the classes (0, 3), (1, 4) and (2, 5),
+            # each with an inexact charge relation: two diagnostics per class.
             ("basicset-gpn --l=6 --p=3 --n=6 --e=8 --k=1 --r=1 --charges=-2,-2",
-             "a6cb74457a4ac940238d3162a702f3c3c7784f6bd45e98f9cc9cef9476aeda74"),
+             "a6cb74457a4ac940238d3162a702f3c3c7784f6bd45e98f9cc9cef9476aeda74", 6),
         ],
     )
-    def test_multi_class_sets_are_pinned(self, capsys, argv, digest):
+    def test_multi_class_sets_are_pinned(self, capsys, argv, digest, warnings):
         # The digests were taken while every crystal layer was still built
         # and sorted as Multipartitions.
         code, out, err = run_cli(capsys, *argv.split())
-        assert code == 0 and err == ""
+        assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+        lines = err.splitlines()
+        assert len(lines) == warnings and all(line.startswith("warning: class (") for line in lines)
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            # Level 1: one class, generated as the 6-regular partitions.
+            ("basicset --l=1 --n=24 --e=6 --k=1 --r=1 --charges=0 --json",
+             "5261517dbd06773ca0bdf6044b1f5a2c0ddf2def8a9cc8abd3c136f1aa6c454d"),
+            # The classes (0,) and (1,): two level-1 layers combined.
+            ("basicset --l=2 --n=13 --e=12 --k=7 --r=2 --charges=-1,-2 --json",
+             "74a3c1b725ea2e7a2e89892d58bbc8420e19d4570cbedc94bee9019e3d4bc1a9"),
+            # The ambient G(2,1,10) set has the classes (0,) and (1,).
+            ("basicset-gpn --l=2 --p=2 --n=10 --e=12 --k=1 --r=2 --charges=-3",
+             "2a959e3b7a7680da641fe05ebe7810eefc615dd48d88b95720675d0e9f7e47fc"),
+        ],
+    )
+    def test_level_one_classes_are_pinned(self, capsys, argv, digest):
+        # The digests were taken while level-1 layers were still found by
+        # walking the crystal.
+        code, out, err = run_cli(capsys, *argv.split())
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_gpn_prints_the_ambient_diagnostics(self, capsys):
+        # Each class of the ambient G(6,1,2) set has an inexact charge
+        # relation; the set is still rotation-stable, so it is printed.
+        code, out, err = run_cli(
+            capsys, *"basicset-gpn --l 6 --p 3 --n 2 --e 6 --k 1 --r 1 --charges=-2,2".split()
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "f54a5ae0760ccf057dff7f5666c7a87d83414d6de5e58f9bcccb20fbb7f03329"
+        )
+        assert err.splitlines() == [
+            "warning: class (0, 5): charge relation inexact for index 5: m difference 4/3, predicted -2/3",
+            "warning: class (0, 5): s vector (0, 1) chosen modulo 2",
+            "warning: class (1, 2): charge relation inexact for index 2: m difference -4/3, predicted 2/3",
+            "warning: class (1, 2): s vector (0, 1) chosen modulo 2",
+            "warning: class (3, 4): charge relation inexact for index 4: m difference -4/3, predicted 2/3",
+            "warning: class (3, 4): s vector (0, 1) chosen modulo 2",
+        ]
 
 
 class TestLevelFlag:
@@ -789,7 +832,7 @@ class TestVerifyCommand:
         "attr, forged, failure",
         [
             ("is_semisimple", lambda *args: True, "G(3,1,2) parameters should not be semisimple"),
-            ("assemble_basic_set_gpn", lambda *args: (), "orbit count 0"),
+            ("assemble_basic_set_gpn", lambda *args: OrbitLabelling(()), "orbit count 0"),
         ],
     )
     def test_failure_in_an_inline_suite(self, capsys, monkeypatch, attr, forged, failure):
