@@ -9,8 +9,9 @@ is grouped into orbits of the cyclic component rotation.
 
 A class of one index needs no crystal walk: at level 1 the reachable
 partitions of rank k are the e'-regular partitions of k, those with no
-part repeated e' or more times (Misra-Miwa), and they are generated
-directly.  The walk below serves the classes of level >= 2.
+part repeated e' or more times (Misra-Miwa), and they are read from
+``combinatorics.partition_layers`` with the multiplicity capped at e' - 1.
+The walk below serves the classes of level >= 2.
 
 The classes and charges are read off the same exponents as the
 semisimplicity criterion: ``schur.zeta_exponents`` sends q to zeta_N^a
@@ -53,6 +54,7 @@ from .combinatorics import (
     enumerate_multipartitions,
     multipartition_to_json,
     orbit_and_stabilizer,
+    partition_layers,
     sigma_action,
 )
 from .errors import DomainError, InternalError
@@ -241,24 +243,6 @@ def f_tilde(m: Multipartition, t: int, charge: UglovCharge) -> Multipartition | 
     return Multipartition(tuple(Partition(p) for p in _add_node(comps, *node)))
 
 
-def _regular_layers(n_max: int, ep: int) -> list[set[tuple[tuple[int, ...], ...]]]:
-    """The partitions of every rank 0..n_max with no part repeated ep or more times, as level-1 vertices.
-
-    Built one part size at a time: size j adds m < ep copies of j in front of
-    every partition, one rank j*m down, whose parts are all below j.  With
-    ep = 1 no multiplicity is bounded, so every partition is built.
-    """
-    cap = ep - 1 if ep > 1 else n_max
-    layers: list[list[tuple[int, ...]]] = [[()]] + [[] for _ in range(n_max)]
-    for j in range(1, n_max + 1):
-        # Descending ranks: layers[k - j*m] is read before size j reaches it.
-        for k in range(n_max, j - 1, -1):
-            for m in range(1, min(cap, k // j) + 1):
-                head = (j,) * m
-                layers[k].extend(head + x for x in layers[k - j * m])
-    return [{(x,) for x in layer} for layer in layers]
-
-
 def _crystal_walk(lc: int, n_max: int, charge: UglovCharge) -> list[set[tuple[tuple[int, ...], ...]]]:
     """The crystal component of the empty multipartition, layer by layer, by breadth-first search (e' >= 2)."""
     s, ep = charge.s, charge.e_prime
@@ -281,7 +265,8 @@ def uglov_levels(lc: int, n_max: int, charge: UglovCharge) -> list[set[tuple[tup
     A vertex is the tuple of its components' parts.  At level 1 the crystal
     component of the empty partition is known in closed form: its rank-k
     layer is the e'-regular partitions of k (no part repeated e' or more
-    times), whatever the charge, so those are generated directly.  Levels
+    times), whatever the charge, so it is read from the partition table
+    with the multiplicity capped at e' - 1.  Levels
     >= 2 are found by a breadth-first walk along the crystal arrows.  No
     Partition is validated and no layer is sorted here: callers build and
     order only the layers they emit.
@@ -295,7 +280,8 @@ def uglov_levels(lc: int, n_max: int, charge: UglovCharge) -> list[set[tuple[tup
     if lc == 1:
         # With e' = 1 (eta^r = 1) the level-1 component algebra is
         # semisimple and every partition survives: no multiplicity bound.
-        return _regular_layers(n_max, charge.e_prime)
+        cap = charge.e_prime - 1 if charge.e_prime > 1 else None
+        return [{(x,) for x in layer} for layer in partition_layers(n_max, cap)]
     if charge.e_prime == 1:
         # eta^r = 1 with a level >= 2 class: semisimple only at rank 0.
         if n_max == 0:
@@ -349,9 +335,7 @@ class OrbitLabelling:
 
 def assemble_basic_set(spec: CycloSpec, l: int, n: int) -> BasicSet:
     """All multipartitions whose class projections are crystal-reachable."""
-    if spec.level != l:
-        raise DomainError(f"specialisation has {spec.level} charges, expected {l}")
-    if n == 0 or is_semisimple(spec, l, n):
+    if is_semisimple(spec, l, n):
         return BasicSet(enumerate_multipartitions(l, n), spec, l, n)
     dm = dm_partition(spec, l, n)
     charges = [charge_for(dm, i, spec) for i in range(len(dm.classes))]

@@ -11,6 +11,11 @@ ints scaled by r only: ``_scaled_rows`` builds r times each row,
 return ints.  Dominance compares whatever exact numbers it is given (ints,
 Fractions, any iterable of them); a positive scaling such as r leaves it
 unchanged.
+
+Partitions come from one table, ``partition_layers``: every rank up to a
+bound, no part repeated more than a cap, each rank in canonical order.
+``partitions_of``, ``enumerate_multipartitions`` and the level-1 crystal
+layers of ``basicset`` (cap e' - 1) read it; nothing is cached.
 """
 
 from __future__ import annotations
@@ -389,27 +394,31 @@ def canonical_key(m: Multipartition) -> tuple:
     return tuple(partition_key(c) for c in m.components)
 
 
-@lru_cache(maxsize=None)
+def partition_layers(n_max: int, cap: int | None = None) -> list[tuple[tuple[int, ...], ...]]:
+    """The parts of the partitions of every rank 0..n_max, no part repeated more than cap times.
+
+    Built one part size at a time: size j puts m <= cap copies of j in front
+    of every partition, one rank j*m down, whose parts are all below j.
+    That builds each rank in ascending order of its parts, so reversed it is
+    in canonical partition order.  With cap None no multiplicity is bounded.
+    """
+    if n_max < 0:
+        raise DomainError("cannot partition a negative integer")
+    if cap is None:
+        cap = n_max
+    layers: list[list[tuple[int, ...]]] = [[()]] + [[] for _ in range(n_max)]
+    for j in range(1, n_max + 1):
+        # Descending ranks: layers[k - j*m] is read before size j reaches it.
+        for k in range(n_max, j - 1, -1):
+            for m in range(1, min(cap, k // j) + 1):
+                head = (j,) * m
+                layers[k] += [head + x for x in layers[k - j * m]]
+    return [tuple(reversed(layer)) for layer in layers]
+
+
 def partitions_of(n: int) -> tuple[Partition, ...]:
     """All partitions of n, sorted by the canonical partition order."""
-    if n < 0:
-        raise DomainError("cannot partition a negative integer")
-    if n == 0:
-        return (EMPTY,)
-    out: list[Partition] = []
-
-    def rec(remaining: int, cap: int, prefix: list[int]):
-        if remaining == 0:
-            out.append(Partition(tuple(prefix)))
-            return
-        for part in range(min(cap, remaining), 0, -1):
-            prefix.append(part)
-            rec(remaining - part, part, prefix)
-            prefix.pop()
-
-    # Largest part first, each part from its cap down: canonical order.
-    rec(n, n, [])
-    return tuple(out)
+    return tuple(map(Partition, partition_layers(n)[n]))
 
 
 def compositions(n: int, parts: int) -> Iterable[tuple[int, ...]]:
@@ -426,20 +435,13 @@ def enumerate_multipartitions(l: int, n: int) -> tuple[Multipartition, ...]:
     """All l-component multipartitions of rank n, in canonical order."""
     if l < 1 or n < 0:
         raise DomainError("need l >= 1 and n >= 0")
-    out: list[Multipartition] = []
-
-    def rec(idx: int, remaining: int, prefix: list[Partition]):
-        if idx == l - 1:
-            for p in partitions_of(remaining):
-                out.append(Multipartition(tuple(prefix) + (p,)))
-            return
-        # This component's size from remaining down, each size in canonical
-        # order: that is canonical order overall.
-        for k in range(remaining, -1, -1):
-            for p in partitions_of(k):
-                prefix.append(p)
-                rec(idx + 1, remaining - k, prefix)
-                prefix.pop()
-
-    rec(0, n, [])
-    return tuple(out)
+    ranks = [tuple(map(Partition, layer)) for layer in partition_layers(n)]
+    # tails[r]: the last components, of total rank r, in canonical order.  A
+    # component put in front, its size from r down and each size in
+    # canonical order, keeps that order.
+    tails = [[(p,) for p in layer] for layer in ranks]
+    for _ in range(l - 1):
+        tails = [
+            [(p,) + t for k in range(r, -1, -1) for p in ranks[k] for t in tails[r - k]] for r in range(n + 1)
+        ]
+    return tuple(map(Multipartition, tails[n]))

@@ -449,9 +449,10 @@ def alpha_identity(m: Multipartition) -> bool:
 
 def _criterion_factors(l: int, n: int) -> tuple[range, list[tuple[int, int, int]]]:
     """The factors of Ariki's criterion: each i is [i]_q, 2 <= i <= n, and
-    each (k, s, t) is q^k Q_s - Q_t, s < t and -n < k < n."""
-    if l < 1 or n < 1:
-        raise DomainError("need l >= 1 and n >= 1")
+    each (k, s, t) is q^k Q_s - Q_t, s < t and -n < k < n.  At n = 0 there
+    are none: the empty product is 1."""
+    if l < 1 or n < 0:
+        raise DomainError("need l >= 1 and n >= 0")
     return range(2, n + 1), [(k, s, t) for s in range(l) for t in range(s + 1, l) for k in range(-n + 1, n)]
 
 

@@ -42,7 +42,7 @@ from .combinatorics import (
     min_symbol_size,
     multipartition_to_json,
     multiset_dominates,
-    partitions_of,
+    partition_layers,
     scaled_kappa,
     sigma_action,
 )
@@ -184,7 +184,7 @@ def _lemma_alpha_worker(lam: Multipartition) -> tuple[int, str | None]:
 
 @_suite("lemmas")
 def verify_lemmas(max_n: int = 6, workers: _Workers = _SERIAL):
-    parts = [p for n in range(1, max_n + 1) for p in partitions_of(n)]
+    parts = [Partition(x) for layer in partition_layers(max_n)[1:] for x in layer]
     yield from workers.map(_lemma_rational_worker, parts, us_per_unit=600)
     yield from workers.map(_lemma_alpha_worker, enumerate_multipartitions(3, max_n), us_per_unit=30)
 

@@ -662,6 +662,16 @@ class TestRankFlag:
         code, out, err = run_cli(capsys, *"basicset --l 2 --n 0 --e 3 --r 1 --charges 0,1".split())
         assert (code, out, err) == (0, "[[],[]]\n", "")
 
+    def test_rank_zero_semisimple(self, capsys):
+        # The criterion at rank 0 is an empty product: 1.
+        code, out, err = run_cli(capsys, *"semisimple --l 2 --n 0 --e 3 --r 1 --charges 0,1".split())
+        assert (code, out, err) == (0, "SEMISIMPLE\n", "")
+
+    def test_rank_zero_semisimple_json(self, capsys):
+        code, out, err = run_cli(capsys, *"semisimple --l 2 --n 0 --e 3 --r 1 --charges 0,1 --json".split())
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {"verdict": "SEMISIMPLE", "thetaP": "(1)", "conductor": 6}
+
 
 class TestHelpIsPinned:
     # sha256 of each --help at COLUMNS=100, as printed while every subcommand

@@ -32,6 +32,7 @@ from ariki.combinatorics import (
     n_function,
     orbit_and_stabilizer,
     partition_key,
+    partition_layers,
     partitions_of,
     rebar,
     scaled_kappa,
@@ -552,7 +553,7 @@ class TestEnumeration:
         assert len(set(got)) == 51
 
     def test_sorted_canonically(self):
-        # Both enumerations emit canonical order as they recurse; neither sorts.
+        # Both enumerations emit canonical order as they are built; neither sorts.
         for n in range(13):
             got = partitions_of(n)
             assert list(got) == sorted(got, key=partition_key)
@@ -560,6 +561,65 @@ class TestEnumeration:
             for n in range(7):
                 got = enumerate_multipartitions(l, n)
                 assert list(got) == sorted(got, key=canonical_key), (l, n)
+
+
+def _reference_partitions(n):
+    """Partitions of n by recursion, largest part first and each part from its cap down: canonical order."""
+    out = []
+
+    def rec(remaining, cap, prefix):
+        if remaining == 0:
+            out.append(Partition(tuple(prefix)))
+            return
+        for part in range(min(cap, remaining), 0, -1):
+            rec(remaining - part, part, prefix + [part])
+
+    rec(n, n, [])
+    return tuple(out)
+
+
+def _reference_multipartitions(l, n):
+    """l-multipartitions of rank n by recursion over the components, in canonical order."""
+    out = []
+
+    def rec(idx, remaining, prefix):
+        if idx == l - 1:
+            out.extend(Multipartition(tuple(prefix) + (p,)) for p in _reference_partitions(remaining))
+            return
+        for k in range(remaining, -1, -1):
+            for p in _reference_partitions(k):
+                rec(idx + 1, remaining - k, prefix + [p])
+
+    rec(0, n, [])
+    return tuple(out)
+
+
+class TestPartitionTable:
+    # Oracles: the recursions the table replaced, and a multiplicity filter.
+    def test_partitions_match_recursion(self):
+        for n in range(21):
+            assert partitions_of(n) == _reference_partitions(n), n
+
+    def test_multipartitions_match_recursion(self):
+        for l in range(1, 5):
+            for n in range(8):
+                assert enumerate_multipartitions(l, n) == _reference_multipartitions(l, n), (l, n)
+
+    def test_capped_layers_filter_the_uncapped_table(self):
+        for n in range(13):
+            full = partition_layers(n)
+            for cap in range(1, 7):
+                layers = partition_layers(n, cap)
+                assert len(layers) == n + 1
+                for k, layer in enumerate(layers):
+                    expected = [x for x in full[k] if all(x.count(p) <= cap for p in x)]
+                    assert list(layer) == expected, (n, cap, k)
+                    assert sorted(layer, key=lambda x: partition_key(Partition(x))) == list(layer)
+
+    def test_negative_rank_is_refused(self):
+        for call in (lambda: partition_layers(-1), lambda: partitions_of(-1), lambda: partition_layers(-2, 3)):
+            with pytest.raises(DomainError, match="cannot partition a negative integer"):
+                call()
 
 
 class TestJsonFormat:

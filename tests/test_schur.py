@@ -397,8 +397,14 @@ class TestSemisimplicity:
         assert theta_p(CycloSpec(4, 1, 4, (0,)), 1, 3).render() == "(6)"
 
     def test_invalid_rank(self):
-        with pytest.raises(DomainError):
-            is_semisimple(CycloSpec(5, 1, 1, (0,)), 1, 0)
+        # Rank 0 is valid: the criterion has no factor, and the empty product is 1.
+        spec = CycloSpec(3, 1, 1, (0, 1))
+        assert is_semisimple(spec, 2, 0)
+        assert render(ariki_poly(2, 0)) == "1"
+        value = theta_p(spec, 2, 0)
+        assert (value.render(), value.n) == ("(1)", 6)
+        with pytest.raises(DomainError, match=r"need l >= 1 and n >= 0"):
+            is_semisimple(spec, 2, -1)
 
     def test_conductor_cap(self, monkeypatch):
         semisimple, not_semisimple = CycloSpec(50, 1, 1, (0, 17, 33)), CycloSpec(12, 1, 6, (3, -1, -2))
