@@ -438,10 +438,12 @@ def enumerate_multipartitions(l: int, n: int) -> tuple[Multipartition, ...]:
     ranks = [tuple(map(Partition, layer)) for layer in partition_layers(n)]
     # tails[r]: the last components, of total rank r, in canonical order.  A
     # component put in front, its size from r down and each size in
-    # canonical order, keeps that order.
+    # canonical order, keeps that order.  The last pass builds only rank n,
+    # the one returned, so tails[-1] is rank n after any number of passes.
     tails = [[(p,) for p in layer] for layer in ranks]
-    for _ in range(l - 1):
+    for passes_left in range(l - 2, -1, -1):
         tails = [
-            [(p,) + t for k in range(r, -1, -1) for p in ranks[k] for t in tails[r - k]] for r in range(n + 1)
+            [(p,) + t for k in range(r, -1, -1) for p in ranks[k] for t in tails[r - k]]
+            for r in (range(n + 1) if passes_left else (n,))
         ]
-    return tuple(map(Multipartition, tails[n]))
+    return tuple(map(Multipartition, tails[-1]))

