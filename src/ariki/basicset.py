@@ -11,7 +11,10 @@ A class of one index needs no crystal walk: at level 1 the reachable
 partitions of rank k are the e'-regular partitions of k, those with no
 part repeated e' or more times (Misra-Miwa), and they are read from
 ``combinatorics.partition_layers`` with the multiplicity capped at e' - 1.
-The walk below serves the classes of level >= 2.
+Nor does a class of level >= 2 with a cylindric charge (s weakly
+increasing, s[-1] - s[0] < e'): its vertices are the FLOTW
+multipartitions, generated by `_flotw_layers`.  The walk below serves the
+other classes of level >= 2.
 
 The classes and charges are read off the same exponents as the
 semisimplicity criterion: ``schur.zeta_exponents`` sends q to zeta_N^a
@@ -33,16 +36,21 @@ at once (`_good_nodes`); the breadth-first search (`_crystal_walk`)
 follows each arrow it returns, and `f_tilde` is a lookup into the same
 reading.  The convention above is unchanged by this.
 
-The search keeps every vertex as a bare tuple of part tuples.  Partition
-and Multipartition objects are built, and sorted, only where they are
-emitted: for the crystal layers that the assembly combines, and for the
-one layer that `uglov_multipartitions` returns.
+Every vertex is a bare tuple of part tuples, and every layer comes out in
+canonical order: the partition table and the FLOTW generator build it in
+that order, and only a walked layer is sorted.  The assembly emits the
+basic set in canonical order from those layers, and sorts only when its
+classes interleave.  Partitions are validated only where they are
+emitted: once per distinct part tuple of the layers the assembly
+combines, and for the one layer that `uglov_multipartitions` returns.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -259,17 +267,130 @@ def _crystal_walk(lc: int, n_max: int, charge: UglovCharge) -> list[set[tuple[tu
     return levels
 
 
-def uglov_levels(lc: int, n_max: int, charge: UglovCharge) -> list[set[tuple[tuple[int, ...], ...]]]:
-    """Reachable vertices at every rank 0..n_max, unordered.
+def _vertex_key(x: tuple[tuple[int, ...], ...]) -> list[tuple[int, tuple[int, ...]]]:
+    """Sort key of a bare vertex: descending order of this key is canonical order."""
+    return [(sum(p), p) for p in x]
+
+
+def _flotw_layers(n_max: int, s: tuple[int, ...], ep: int) -> list[list[tuple[tuple[int, ...], ...]]]:
+    """The FLOTW multipartitions of every rank 0..n_max, each rank in canonical order.
+
+    For s weakly increasing with s[-1] - s[0] < e' (level >= 2), the crystal
+    component of the empty multipartition is the set of multipartitions
+    lambda with (Foda-Leclerc-Okado-Thibon-Welsh; rows 0-based here)
+
+    * lambda^(j+1)_(i + d_j) <= lambda^(j)_i, d_j = s_(j+1) - s_j;
+    * lambda^(lc-1)_i >= lambda^(0)_(i + w), w = e' + s_0 - s_(lc-1);
+    * no part size k whose rightmost nodes, (k - row + s_j) mod e' over the
+      rows of length k in every component, cover every residue.
+
+    Components are placed in index order, each row by row, larger parts
+    first.  Chaining the bounds of one lap round the cylinder gives
+    lambda^(j)_i >= lambda^(0)_(i + e' - (s_j - s_0)), so once component 0
+    is placed every later row has a lower bound as well as an upper one,
+    and the rank the later components must still take is known.  A part
+    size is checked against the residues that earlier components already
+    cover when its run of rows is placed.  Each component is listed by
+    decreasing size, and by decreasing parts within a size, so every rank
+    collects its vertices in canonical order.
+    """
+    lc, full = len(s), (1 << ep) - 1
+    # ring[m][k]: the residues k, k + 1, ..., k + m - 1 mod e' as a bitmask.
+    ring = [[(run << k | run << k >> ep) & full for k in range(ep)] for run in ((1 << m) - 1 for m in range(ep))]
+    # Component j's rows are bounded below by component 0's from row reach[j] on.
+    reach = [ep - x + s[0] for x in s]
+    layers: list[list[tuple[tuple[int, ...], ...]]] = [[] for _ in range(n_max + 1)]
+
+    def component(sj, upper, lower, budget, covered):
+        """The parts of one component, listed by size, each size in decreasing order.
+
+        Row i lies in [lower[i], upper[i]] (upper non-increasing, rows past
+        it empty), the parts sum to at most budget, and a run of m < e'
+        equal parts k adds residues to covered[k] without filling it.
+        """
+        if budget < sum(lower):
+            return []
+        rows = len(upper)
+        upper += (0,)
+        low = lower + (0,) * (rows + 1 - len(lower))
+        low_sum = [0] * (rows + 2)
+        for i in range(rows, -1, -1):
+            low_sum[i] = low_sum[i + 1] + low[i]
+        by_size: list[list[tuple[int, ...]]] = [[] for _ in range(budget + 1)]
+        # Depth first from the empty component; the largest run is pushed
+        # last, so it is popped first.
+        stack = [(0, budget + 1, 0, ())]
+        while stack:
+            i, cap, used, parts = stack.pop()
+            if not low[i]:
+                by_size[used].append(parts)
+            left = budget - used
+            if not left or i == rows:
+                continue
+            top = upper[i] if upper[i] < cap else cap - 1
+            if left < top:
+                top = left
+            most = rows - i if rows - i < ep else ep - 1
+            for k in range(low[i] or 1, top + 1):
+                if most * k > left:
+                    most = left // k
+                while upper[i + most - 1] < k:
+                    most -= 1
+                taken = covered.get(k)
+                for m in range(1, most + 1):
+                    rest = i + m
+                    if left - m * k >= low_sum[rest] and low[rest] < k:
+                        if not taken or ring[m][(k + sj - rest) % ep] | taken != full:
+                            stack.append((rest, k, used + m * k, parts + (k,) * m))
+        return by_size
+
+    def cover(covered, parts, sj):
+        """`covered` with the residues of the runs of `parts` added."""
+        covered = dict(covered)
+        i = 0
+        while i < len(parts):
+            k = parts[i]
+            rest = i + parts.count(k)
+            covered[k] = covered.get(k, 0) | ring[rest - i][(k + sj - rest) % ep]
+            i = rest
+        return covered
+
+    # Components placed so far, with the residues covered by all but the last.
+    stack: list[tuple[tuple[tuple[int, ...], ...], int, dict[int, int]]] = [((), 0, {})]
+    while stack:
+        head, used, covered = stack.pop()
+        j = len(head)
+        if j:
+            covered = cover(covered, head[-1], s[j - 1])
+            p0 = head[0]
+            upper = (n_max,) * (s[j] - s[j - 1]) + head[-1]
+            # The least rank that components j + 1.. must still take.
+            reserve = sum(sum(p0[reach[i]:]) for i in range(j + 1, lc))
+            by_size = component(s[j], upper, p0[reach[j]:], n_max - used - reserve, covered)
+        else:
+            by_size = component(s[0], (n_max,) * n_max, (), n_max, covered)
+        if j == lc - 1:
+            for size, group in enumerate(by_size, used):
+                layers[size] += [head + (x,) for x in group]
+        else:
+            # Smallest and last first, so that the stack pops canonical order.
+            for size, group in enumerate(by_size):
+                stack += [(head + (x,), used + size, covered) for x in reversed(group)]
+    return layers
+
+
+def uglov_levels(lc: int, n_max: int, charge: UglovCharge) -> list[tuple[tuple[tuple[int, ...], ...], ...]]:
+    """Reachable vertices at every rank 0..n_max, each rank in canonical order.
 
     A vertex is the tuple of its components' parts.  At level 1 the crystal
     component of the empty partition is known in closed form: its rank-k
     layer is the e'-regular partitions of k (no part repeated e' or more
     times), whatever the charge, so it is read from the partition table
-    with the multiplicity capped at e' - 1.  Levels
-    >= 2 are found by a breadth-first walk along the crystal arrows.  No
-    Partition is validated and no layer is sorted here: callers build and
-    order only the layers they emit.
+    with the multiplicity capped at e' - 1.  At level >= 2 a cylindric
+    charge (s weakly increasing, s[-1] - s[0] < e') has the closed form of
+    `_flotw_layers`, generated in canonical order.  Other charges are
+    walked breadth-first along the crystal arrows, and each layer is sorted.
+    No Partition is validated here.
     """
     if lc < 1 or n_max < 0:
         raise DomainError("need lc >= 1 and n_max >= 0")
@@ -281,23 +402,25 @@ def uglov_levels(lc: int, n_max: int, charge: UglovCharge) -> list[set[tuple[tup
         # With e' = 1 (eta^r = 1) the level-1 component algebra is
         # semisimple and every partition survives: no multiplicity bound.
         cap = charge.e_prime - 1 if charge.e_prime > 1 else None
-        return [{(x,) for x in layer} for layer in partition_layers(n_max, cap)]
-    if charge.e_prime == 1:
+        # zip over one layer wraps each partition as a one-component vertex.
+        return [tuple(zip(layer)) for layer in partition_layers(n_max, cap)]
+    s, ep = charge.s, charge.e_prime
+    if ep == 1:
         # eta^r = 1 with a level >= 2 class: semisimple only at rank 0.
         if n_max == 0:
-            return [{((),) * lc}]
+            return [(((),) * lc,)]
         raise DomainError(
             "quantum characteristic 1 with a level >= 2 class: "
             "the component algebra is not semisimple and no crystal applies"
         )
-    return _crystal_walk(lc, n_max, charge)
+    if all(a <= b for a, b in zip(s, s[1:])) and s[-1] - s[0] < ep:
+        return list(map(tuple, _flotw_layers(n_max, s, ep)))
+    return [tuple(sorted(layer, key=_vertex_key, reverse=True)) for layer in _crystal_walk(lc, n_max, charge)]
 
 
 def uglov_multipartitions(lc: int, nc: int, charge: UglovCharge) -> tuple[Multipartition, ...]:
-    """The rank-nc layer of the crystal component of the empty multipartition, canonically sorted."""
-    layer = [Multipartition(tuple(map(Partition, x))) for x in uglov_levels(lc, nc, charge)[nc]]
-    layer.sort(key=canonical_key)
-    return tuple(layer)
+    """The rank-nc layer of the crystal component of the empty multipartition, in canonical order."""
+    return tuple(Multipartition(tuple(map(Partition, x))) for x in uglov_levels(lc, nc, charge)[nc])
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +457,18 @@ class OrbitLabelling:
 
 
 def assemble_basic_set(spec: CycloSpec, l: int, n: int) -> BasicSet:
-    """All multipartitions whose class projections are crystal-reachable."""
+    """All multipartitions whose class projections are crystal-reachable, in canonical order.
+
+    When every class is a run of consecutive indices, canonical order is
+    class-key order: class 0's projection compared first, then class 1's.
+    The elements are emitted in that order.  Class 0's vertices of every
+    rank are taken in class-key order (a lazy merge of its ordered layers;
+    for a level-1 class, ranks n down to 0), and each is followed by the
+    later classes combined on the rank that remains.  Only interleaved
+    classes, such as (0, 2) and (1,), are sorted afterwards.  Each distinct
+    part tuple is validated once, as one Partition that every element
+    using it shares.
+    """
     if is_semisimple(spec, l, n):
         return BasicSet(enumerate_multipartitions(l, n), spec, l, n)
     dm = dm_partition(spec, l, n)
@@ -346,29 +480,57 @@ def assemble_basic_set(spec: CycloSpec, l: int, n: int) -> BasicSet:
         for d in ch.diagnostics
     )
     levels = [uglov_levels(len(cls), n, ch) for cls, ch in zip(dm.classes, charges)]
+    last = len(levels) - 1
+    expected = sum(
+        math.prod(len(levels[i][k]) for i, k in enumerate(sizes)) for sizes in compositions(n, last + 1)
+    )
 
-    # Partitions for a (class, rank) layer, built once, when first combined.
+    partitions: dict[tuple[int, ...], Partition] = {}
     built: dict[tuple[int, int], list[tuple[Partition, ...]]] = {}
-    elements: list[Multipartition] = []
-    expected = 0
-    for comp_sizes in compositions(n, len(dm.classes)):
-        pools = []
-        for i, ni in enumerate(comp_sizes):
-            if (i, ni) not in built:
-                built[i, ni] = [tuple(map(Partition, x)) for x in levels[i][ni]]
-            pools.append(built[i, ni])
-        expected += math.prod(map(len, pools))
-        for choice in itertools.product(*pools):
-            comps: list[Partition | None] = [None] * l
-            for cls, local in zip(dm.classes, choice):
-                for idx, part in zip(cls, local):
-                    comps[idx] = part
-            elements.append(Multipartition(tuple(comps)))  # type: ignore[arg-type]
+
+    def partition(parts):
+        if parts not in partitions:
+            partitions[parts] = Partition(parts)
+        return partitions[parts]
+
+    def layer(i, k):
+        """Class i's rank-k vertices as Partition tuples, built when first combined."""
+        if (i, k) not in built:
+            built[i, k] = [tuple(map(partition, x)) for x in levels[i][k]]
+        return built[i, k]
+
+    def ranked(i, k):
+        """(rank, vertex) for class i's vertices of rank at most k, in class-key order."""
+        if len(dm.classes[i]) == 1:
+            return ((r, x) for r in range(k, -1, -1) for x in layer(i, r))
+        merged = heapq.merge(
+            *(zip(levels[i][r], itertools.repeat(r), layer(i, r)) for r in range(k + 1)),
+            key=lambda item: _vertex_key(item[0]),
+            reverse=True,
+        )
+        return ((r, x) for _, r, x in merged)
+
+    def extend(heads, i):
+        """Each (head, rank left) followed by class i's vertices that fit, in class-key order."""
+        for head, k in heads:
+            for r, x in ranked(i, k):
+                yield head + x, k - r
+
+    heads: Iterable[tuple[tuple[Partition, ...], int]] = [((), n)]
+    for i in range(last):
+        heads = extend(heads, i)
+    combined = [head + x for head, k in heads for x in layer(last, k)]
+    order = sum(dm.classes, ())
+    if order == tuple(range(l)):
+        elements = list(map(Multipartition, combined))
+    else:
+        # Interleaved classes: put each component at its index, then sort.
+        where = [order.index(idx) for idx in range(l)]
+        elements = sorted((Multipartition(tuple(x[pos] for pos in where)) for x in combined), key=canonical_key)
     if not len(set(elements)) == len(elements) == expected:
         raise InternalError(
             f"assembled {len(elements)} elements ({len(set(elements))} distinct), expected {expected}"
         )
-    elements.sort(key=canonical_key)
     return BasicSet(tuple(elements), spec, l, n, diagnostics)
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import lru_cache
 
@@ -358,7 +359,16 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        code = _HANDLERS[args.command](args)
+        # A reader that closed the pipe early shows here, not at exit.
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The exit-time flush would raise again: point stdout at devnull, as
+        # the Python docs advise, and exit 1 without a traceback.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
     except FlagError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

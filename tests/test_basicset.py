@@ -49,6 +49,14 @@ def as_multipartitions(levels):
     ]
 
 
+def canonical_layers(levels):
+    """Each layer of bare part tuples, in the canonical order of its Multipartitions."""
+    return [
+        tuple(sorted(layer, key=lambda x: canonical_key(Multipartition(tuple(map(Partition, x))))))
+        for layer in levels
+    ]
+
+
 class TestDMPartition:
     def test_worked_example(self):
         dm = dm_partition(SPEC_312, 3, 2)
@@ -244,7 +252,8 @@ class TestCrystal:
         from ariki.combinatorics import partitions_of
 
         levels = uglov_levels(1, 10, UglovCharge(1, (0,)))
-        assert levels == [{(p.parts,) for p in partitions_of(n)} for n in range(11)]
+        assert levels == [tuple((p.parts,) for p in partitions_of(n)) for n in range(11)]
+        assert list(map(set, levels)) == [{(p.parts,) for p in partitions_of(n)} for n in range(11)]
         assert jset(uglov_multipartitions(2, 0, UglovCharge(1, (0, 0)))) == {"[[],[]]"}
         with pytest.raises(DomainError):
             uglov_multipartitions(2, 1, UglovCharge(1, (0, 0)))
@@ -331,6 +340,21 @@ def _reference_assembly(spec, l, n):
     return tuple(sorted(elements, key=canonical_key))
 
 
+def _build_then_sort(spec, l, n):
+    """The basic set from `uglov_levels`, built over every composition of n, then sorted."""
+    dm = dm_partition(spec, l, n)
+    levels = [uglov_levels(len(cls), n, charge_for(dm, i, spec)) for i, cls in enumerate(dm.classes)]
+    elements = []
+    for sizes in compositions(n, len(dm.classes)):
+        for choice in itertools.product(*(levels[i][k] for i, k in enumerate(sizes))):
+            comps = [None] * l
+            for cls, local in zip(dm.classes, choice):
+                for idx, parts in zip(cls, local):
+                    comps[idx] = Partition(parts)
+            elements.append(Multipartition(tuple(comps)))
+    return tuple(sorted(elements, key=canonical_key))
+
+
 @st.composite
 def crystal_cases(draw):
     lc = draw(st.integers(1, 3))
@@ -364,6 +388,19 @@ class TestOnePassCrystal:
                     assert f_tilde(x, t, charge) == _reference_f_tilde(x, t, charge), (x, t)
 
 
+def benchmark_round(seed):
+    """The ops of round 0 of the benchmark's basicset workload at `seed`."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.round_ops("basicset", seed, 0)
+
+
+def is_cylindric(s, ep):
+    return all(a <= b for a, b in zip(s, s[1:])) and s[-1] - s[0] < ep
+
+
 class TestLevelOneGenerator:
     """Level-1 layers are generated as e'-regular partitions; the crystal walk is their oracle."""
 
@@ -371,12 +408,16 @@ class TestLevelOneGenerator:
     def test_matches_the_walk_up_to_rank_20(self, ep):
         for s in (0, -3):
             charge = UglovCharge(ep, (s,))
-            assert uglov_levels(1, 20, charge) == _crystal_walk(1, 20, charge)
+            levels, walk = uglov_levels(1, 20, charge), _crystal_walk(1, 20, charge)
+            assert levels == canonical_layers(walk)
+            assert list(map(set, levels)) == walk
 
     @pytest.mark.parametrize("n, ep", [(28, 8), (27, 6), (23, 12), (26, 4), (22, 8)])
     def test_matches_the_walk_on_large_ranks(self, n, ep):
         charge = UglovCharge(ep, (1,))
-        assert uglov_levels(1, n, charge) == _crystal_walk(1, n, charge)
+        levels, walk = uglov_levels(1, n, charge), _crystal_walk(1, n, charge)
+        assert levels == canonical_layers(walk)
+        assert list(map(set, levels)) == walk
 
     def test_walks_no_crystal(self, monkeypatch):
         def refuse(*args):
@@ -385,18 +426,18 @@ class TestLevelOneGenerator:
         monkeypatch.setattr(basicset, "_good_nodes", refuse)
         for ep in (1, 2, 5):
             assert len(uglov_levels(1, 12, UglovCharge(ep, (0,)))) == 13
+        # Cylindric charges of level >= 2 are generated too; other charges walk.
+        assert list(map(set, uglov_levels(2, 1, UglovCharge(2, (0, 0))))) == [{((), ())}, {((1,), ())}]
         with pytest.raises(AssertionError, match="walked"):
-            uglov_levels(2, 1, UglovCharge(2, (0, 0)))
+            uglov_levels(2, 1, UglovCharge(2, (0, -1)))
 
     def test_good_node_calls_on_the_benchmark_round(self, monkeypatch, capsys):
         # Every op of round 0 of the benchmark's basicset workload (seed 0),
         # counting the good-node readings that the crystal walk makes.  Only
-        # classes of level >= 2 walk; the walk made 49,247 readings when
-        # level-1 classes were walked too, 40,231 of them in level-1 ops.
-        path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-        spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-        workloads = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(workloads)
+        # classes of level >= 2 with a charge that is not cylindric walk.  The
+        # walk made 49,247 readings when level-1 classes were walked too
+        # (40,231 of them in level-1 ops), and 7,571 when cylindric classes
+        # were walked too.
         honest, calls = basicset._good_nodes, Counter()
 
         def counting(*args):
@@ -404,12 +445,66 @@ class TestLevelOneGenerator:
             return honest(*args)
 
         monkeypatch.setattr(basicset, "_good_nodes", counting)
-        for op in workloads.round_ops("basicset", 0, 0):
+        for op in benchmark_round(0):
             level = op["argv"][1]
             assert cli.main(op["argv"]) == 0
         capsys.readouterr()
         assert calls["--l=1"] == 0
-        assert sum(calls.values()) == 7571
+        assert sum(calls.values()) == 1759
+
+
+@st.composite
+def cylindric_cases(draw):
+    """(lc, n, charge): level 2-4, e' 2-12, s weakly increasing with s[-1] - s[0] < e'."""
+    lc = draw(st.integers(2, 4))
+    ep = draw(st.integers(2, 12))
+    base = draw(st.integers(-6, 6))
+    steps = draw(st.lists(st.integers(0, ep - 1), min_size=lc - 1, max_size=lc - 1))
+    n = draw(st.integers(0, 9))
+    return lc, n, UglovCharge(ep, (base, *(base + d for d in sorted(steps))))
+
+
+class TestFlotwGenerator:
+    """Cylindric classes of level >= 2 are generated; the crystal walk is their oracle."""
+
+    @staticmethod
+    def assert_matches_the_walk(lc, n, charge):
+        walk = _crystal_walk(lc, n, charge)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(basicset, "_good_nodes", None)
+            levels = uglov_levels(lc, n, charge)
+        assert list(map(set, levels)) == walk
+        assert levels == canonical_layers(walk)
+
+    # The examples: the widest charge spread, a spread of 0, and e' = 2,
+    # where every component is a strict partition.
+    @given(cylindric_cases())
+    @example((3, 6, UglovCharge(4, (0, 1, 3))))
+    @example((4, 6, UglovCharge(5, (2, 2, 2, 2))))
+    @example((2, 9, UglovCharge(2, (0, 1))))
+    @settings(max_examples=80, deadline=None)
+    def test_layers_match_the_walk(self, case):
+        self.assert_matches_the_walk(*case)
+
+    def test_matches_the_walk_on_the_benchmark_classes(self, monkeypatch, capsys):
+        # The cylindric classes of level >= 2 that round 0 of the benchmark
+        # builds at seeds 0 and 7919, 11 at each, with n up to 14.
+        honest, classes = basicset.uglov_levels, []
+
+        def recording(lc, n_max, charge):
+            classes.append((lc, n_max, charge))
+            return honest(lc, n_max, charge)
+
+        monkeypatch.setattr(basicset, "uglov_levels", recording)
+        for seed in (0, 7919):
+            for op in benchmark_round(seed):
+                assert cli.main(op["argv"]) == 0
+        capsys.readouterr()
+        monkeypatch.undo()
+        cylindric = [case for case in classes if case[0] >= 2 and is_cylindric(case[2].s, case[2].e_prime)]
+        assert (len(cylindric), max(n for _, n, _ in cylindric)) == (22, 14)
+        for case in cylindric:
+            self.assert_matches_the_walk(*case)
 
 
 @st.composite
@@ -436,6 +531,35 @@ class TestAssembleBasicSet:
     def test_matches_the_reference_assembly(self, case):
         spec, l, n = case
         assert assemble_basic_set(spec, l, n).elements == _reference_assembly(spec, l, n)
+
+    @given(non_semisimple_specs())
+    @example((CycloSpec(e=4, k=1, r=1, charges=(0, -3, -3)), 3, 5))
+    @settings(max_examples=100, deadline=None)
+    def test_emits_the_order_of_build_then_sort(self, case):
+        assert assemble_basic_set(*case).elements == _build_then_sort(*case)
+
+    def test_interleaved_classes_are_sorted(self):
+        # Class-key order puts component 1 last here; canonical order does not.
+        spec, l, n = CycloSpec(e=12, k=1, r=2, charges=(0, -3, -2)), 3, 6
+        assert dm_partition(spec, l, n).classes == ((0, 2), (1,))
+        elements = assemble_basic_set(spec, l, n).elements
+        assert elements == _build_then_sort(spec, l, n)
+        assert list(elements) == sorted(elements, key=canonical_key)
+
+    def test_validates_each_part_tuple_once(self, monkeypatch):
+        # A count, not a time, on one class of level 2: its 118 elements have
+        # 236 components but only 65 distinct part tuples.
+        built = Counter()
+        for cls in (Partition, Multipartition):
+            def counting(self, original=cls.__post_init__, name=cls.__name__):
+                built[name] += 1
+                original(self)
+
+            monkeypatch.setattr(cls, "__post_init__", counting)
+        bs = assemble_basic_set(CycloSpec(e=8, k=5, r=3, charges=(1, 0)), 2, 8)
+        distinct = {c.parts for x in bs.elements for c in x.components}
+        assert (len(bs.elements), len(distinct)) == (118, 65)
+        assert built == {"Partition": len(distinct), "Multipartition": len(bs.elements)}
 
     def test_builds_only_the_objects_it_returns(self, monkeypatch):
         # A count, not a time: the crystal walk builds no Partition or

@@ -1,5 +1,7 @@
 import ast
+import contextlib
 import hashlib
+import io
 import itertools
 import json
 import math
@@ -1126,3 +1128,44 @@ class TestDeterminism:
                 assert proc.returncode == 1, (flags, proc.stderr)
                 assert proc.stdout == "", flags
                 assert proc.stderr.startswith(message), (flags, proc.stderr)
+
+
+class TestClosedStdout:
+    # The read end is closed before the child starts, so its first write to
+    # stdout fails, whatever the size of a pipe's buffer.
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["basicset", "--l=1", "--n=24", "--e=6", "--k=1", "--r=1", "--charges=0"],
+            ["schur", "--lambda", "[[3,2],[2,1],[1]]"],
+        ],
+    )
+    def test_exits_1_with_nothing_on_stderr(self, argv):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "ariki.cli", *argv], stdout=write, stderr=subprocess.PIPE, timeout=60
+            )
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (1, b"")
+
+    def test_a_reader_that_stops_after_one_line(self):
+        # As `| head -n 1`: the 19,409 lines (460 kB) outgrow a pipe's 64 kB
+        # buffer many times, so the child is still writing when the reader leaves.
+        argv = ["basicset", "--l=1", "--n=38", "--e=8", "--k=5", "--r=1", "--charges=1"]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "ariki.cli", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (first, proc.wait(timeout=60), err) == (b"[[38]]\n", 1, b"")
+
+    def test_in_process_callers_are_unaffected(self):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["basicset", "--l=1", "--n=3", "--e=2", "--k=1", "--r=1", "--charges=0"]) == 0
+        assert out.getvalue() == "[[3]]\n[[2,1]]\n"
