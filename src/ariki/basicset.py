@@ -5,7 +5,9 @@ cross-class root-of-unity coincidence, extract an integer charge vector
 per class, build the class-local label sets as the vertices reachable
 from the empty multipartition in a Fock-space crystal, then reassemble
 over all ways of distributing the rank.  For G(l,p,n) the resulting set
-is grouped into orbits of the cyclic component rotation.
+is grouped into orbits of the cyclic component rotation in one pass over
+the set, in canonical order, which meets each orbit first at its least
+member, its representative; nothing is sorted there.
 
 A class of one index needs no crystal walk: at level 1 the reachable
 partitions of rank k are the e'-regular partitions of k, those with no
@@ -63,7 +65,6 @@ from .combinatorics import (
     multipartition_to_json,
     orbit_and_stabilizer,
     partition_layers,
-    sigma_action,
 )
 from .errors import DomainError, InternalError
 from .schur import CycloSpec, is_semisimple, zeta_exponents
@@ -78,12 +79,11 @@ class DMPartition:
     """Classes of parameter indices, with per-class charge vectors.
 
     classes[i] is an ascending tuple of indices; s_vectors[i] the integer
-    charges (first entry 0); m_residual[i] the projected rational charges.
+    charges (first entry 0).
     """
 
     classes: tuple[tuple[int, ...], ...]
     s_vectors: tuple[tuple[int, ...], ...]
-    m_residual: tuple[tuple[Fraction, ...], ...]
     e_prime: int
 
 
@@ -158,9 +158,7 @@ def dm_partition(spec: CycloSpec, l: int, n: int) -> DMPartition:
                         raise InternalError(f"cross-class witness between components {i} and {j}")
 
     s_vectors = tuple(tuple(_solve_s(N, a, A[idx] - A[cls[0]]) for idx in cls) for cls in classes)
-    m = spec.charge_data().m
-    m_residual = tuple(tuple(m[idx] for idx in cls) for cls in classes)
-    return DMPartition(tuple(classes), s_vectors, m_residual, N // math.gcd(a, N))
+    return DMPartition(tuple(classes), s_vectors, N // math.gcd(a, N))
 
 
 def charge_for(dm: DMPartition, class_index: int, spec: CycloSpec) -> UglovCharge:
@@ -175,9 +173,9 @@ def charge_for(dm: DMPartition, class_index: int, spec: CycloSpec) -> UglovCharg
             raise InternalError(f"s_{idx} = {sj} does not solve its charge congruence")
     diagnostics: list[str] = []
     eq4 = True
-    m = dm.m_residual[class_index]
-    for pos, (idx, sj) in enumerate(zip(cls, s)):
-        lhs = m[pos] - m[0]
+    m = spec.charge_data().m
+    for idx, sj in zip(cls, s):
+        lhs = m[idx] - m[cls[0]]
         rhs = sj - Fraction(spec.e * (idx - cls[0]), spec.k * l * spec.r)
         if lhs != rhs:
             eq4 = False
@@ -430,9 +428,6 @@ def uglov_multipartitions(lc: int, nc: int, charge: UglovCharge) -> tuple[Multip
 @dataclass(frozen=True)
 class BasicSet:
     elements: tuple[Multipartition, ...]
-    spec: CycloSpec
-    l: int
-    n: int
     diagnostics: tuple[str, ...] = ()
 
 
@@ -441,11 +436,14 @@ class OrbitDatum:
     representative: Multipartition
     orbit_size: int
     stabilizer_size: int
-    labels: tuple[str, ...]
 
-    def __post_init__(self):
-        if len(self.labels) != self.stabilizer_size:
-            raise InternalError(f"{len(self.labels)} labels for a stabilizer of size {self.stabilizer_size}")
+    @property
+    def labels(self) -> tuple[str, ...]:
+        """E^rep once, or E^rep,i for each i below a stabilizer size above 1."""
+        base = "E^" + multipartition_to_json(self.representative)
+        if self.stabilizer_size == 1:
+            return (base,)
+        return tuple(f"{base},{i}" for i in range(self.stabilizer_size))
 
 
 @dataclass(frozen=True)
@@ -462,15 +460,14 @@ def assemble_basic_set(spec: CycloSpec, l: int, n: int) -> BasicSet:
     When every class is a run of consecutive indices, canonical order is
     class-key order: class 0's projection compared first, then class 1's.
     The elements are emitted in that order.  Class 0's vertices of every
-    rank are taken in class-key order (a lazy merge of its ordered layers;
-    for a level-1 class, ranks n down to 0), and each is followed by the
-    later classes combined on the rank that remains.  Only interleaved
-    classes, such as (0, 2) and (1,), are sorted afterwards.  Each distinct
-    part tuple is validated once, as one Partition that every element
-    using it shares.
+    rank are taken in class-key order (a lazy merge of its ordered layers),
+    and each is followed by the later classes combined on the rank that
+    remains.  Only interleaved classes, such as (0, 2) and (1,), are sorted
+    afterwards.  Each distinct part tuple is validated once, as one
+    Partition that every element using it shares.
     """
     if is_semisimple(spec, l, n):
-        return BasicSet(enumerate_multipartitions(l, n), spec, l, n)
+        return BasicSet(enumerate_multipartitions(l, n))
     dm = dm_partition(spec, l, n)
     charges = [charge_for(dm, i, spec) for i in range(len(dm.classes))]
     diagnostics = tuple(
@@ -501,8 +498,6 @@ def assemble_basic_set(spec: CycloSpec, l: int, n: int) -> BasicSet:
 
     def ranked(i, k):
         """(rank, vertex) for class i's vertices of rank at most k, in class-key order."""
-        if len(dm.classes[i]) == 1:
-            return ((r, x) for r in range(k, -1, -1) for x in layer(i, r))
         merged = heapq.merge(
             *(zip(levels[i][r], itertools.repeat(r), layer(i, r)) for r in range(k + 1)),
             key=lambda item: _vertex_key(item[0]),
@@ -531,7 +526,7 @@ def assemble_basic_set(spec: CycloSpec, l: int, n: int) -> BasicSet:
         raise InternalError(
             f"assembled {len(elements)} elements ({len(set(elements))} distinct), expected {expected}"
         )
-    return BasicSet(tuple(elements), spec, l, n, diagnostics)
+    return BasicSet(tuple(elements), diagnostics)
 
 
 def assemble_basic_set_gpn(spec: CycloSpec, l: int, p: int, n: int) -> OrbitLabelling:
@@ -540,6 +535,11 @@ def assemble_basic_set_gpn(spec: CycloSpec, l: int, p: int, n: int) -> OrbitLabe
     The charges of `spec` may be given as the d-block (d = l/p) or as the
     full p-periodic l-vector; the ambient G(l,1,n) parameters use p*r and
     the tiled charges.  The ambient set's diagnostics come with the orbits.
+
+    One pass over the ambient set, in canonical order, meets each orbit
+    first at its least member, its representative, so the orbits come out
+    in order.  An orbit that leaves the elements not yet labelled shows
+    that the set is not rotation-stable.
     """
     if p < 1:
         raise DomainError("p must be >= 1")
@@ -559,28 +559,21 @@ def assemble_basic_set_gpn(spec: CycloSpec, l: int, p: int, n: int) -> OrbitLabe
         raise DomainError("need n > 2, or n = 2 with p odd")
     ambient = CycloSpec(spec.e, spec.k, spec.r * p, block * p)
     bs = assemble_basic_set(ambient, l, n)
-
-    element_set = set(bs.elements)
-    if any(sigma_action(x, p, d) not in element_set for x in bs.elements):
-        # Happens only when no integer charge lift satisfies the exact
-        # rational charge relation, so the pinned lift convention breaks
-        # the rotation symmetry; orbit labelling is then undefined.
-        detail = "; ".join(bs.diagnostics) or "no diagnostics recorded"
-        raise DomainError(
-            "the assembled set is not stable under component rotation, "
-            f"so no orbit labelling exists under the chosen charge lifts ({detail})"
-        )
-
     remaining = set(bs.elements)
     data: list[OrbitDatum] = []
-    while remaining:
-        orbit, stab = orbit_and_stabilizer(next(iter(remaining)), p, d)
+    for x in bs.elements:
+        if x not in remaining:
+            continue
+        orbit, stab = orbit_and_stabilizer(x, p, d)
+        if not remaining.issuperset(orbit):
+            # Happens only when no integer charge lift satisfies the exact
+            # rational charge relation, so the pinned lift convention breaks
+            # the rotation symmetry; orbit labelling is then undefined.
+            detail = "; ".join(bs.diagnostics) or "no diagnostics recorded"
+            raise DomainError(
+                "the assembled set is not stable under component rotation, "
+                f"so no orbit labelling exists under the chosen charge lifts ({detail})"
+            )
         remaining.difference_update(orbit)
-        rep = orbit[0]
-        base = "E^" + multipartition_to_json(rep)
-        labels = (base,) if stab == 1 else tuple(f"{base},{i}" for i in range(stab))
-        data.append(OrbitDatum(rep, len(orbit), stab, labels))
-    data.sort(key=lambda o: canonical_key(o.representative))
-    if sum(o.orbit_size for o in data) != len(bs.elements):
-        raise InternalError("the rotation orbits do not partition the basic set")
+        data.append(OrbitDatum(x, len(orbit), stab))
     return OrbitLabelling(tuple(data), bs.diagnostics)

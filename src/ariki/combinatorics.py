@@ -369,7 +369,7 @@ def sigma_action(m: Multipartition, p: int, d: int) -> Multipartition:
 
 
 def orbit_and_stabilizer(m: Multipartition, p: int, d: int) -> tuple[tuple[Multipartition, ...], int]:
-    """The rotation orbit (in canonical order) and the stabilizer size p / |orbit|."""
+    """The rotation orbit m, sigma(m), sigma^2(m), ... and the stabilizer size p / |orbit|."""
     orbit = [m]
     cur = sigma_action(m, p, d)
     while cur != m:
@@ -377,7 +377,6 @@ def orbit_and_stabilizer(m: Multipartition, p: int, d: int) -> tuple[tuple[Multi
         cur = sigma_action(cur, p, d)
     if p % len(orbit):
         raise InternalError(f"rotation orbit of size {len(orbit)} does not divide p = {p}")
-    orbit.sort(key=canonical_key)
     return tuple(orbit), p // len(orbit)
 
 

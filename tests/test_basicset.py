@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from ariki import basicset, cli
+from ariki import basicset, cli, combinatorics
 from ariki.basicset import (
     UglovCharge,
     _crystal_walk,
@@ -631,6 +631,62 @@ class TestAssembleBasicSet:
         assert is_semisimple(spec, l, n) == schur_scan(spec, l, n)
 
 
+def _set_seeded_labelling(spec, l, p, n):
+    """(representative, orbit size, stabilizer size, labels) per rotation orbit.
+
+    Orbits are seeded from a set of the ambient basic set, each is sorted,
+    and the orbits are sorted by representative, so the ambient set's order
+    plays no part.  A set that rotation does not preserve raises the
+    DomainError of `assemble_basic_set_gpn`.
+    """
+    d = l // p
+    ambient = CycloSpec(spec.e, spec.k, spec.r * p, spec.charges[:d] * p)
+    bs = assemble_basic_set(ambient, l, n)
+    remaining = set(bs.elements)
+
+    def rotate(x):
+        return Multipartition(x.components[-d:] + x.components[:-d])
+
+    if any(rotate(x) not in remaining for x in bs.elements):
+        detail = "; ".join(bs.diagnostics) or "no diagnostics recorded"
+        raise DomainError(
+            "the assembled set is not stable under component rotation, "
+            f"so no orbit labelling exists under the chosen charge lifts ({detail})"
+        )
+    orbits = []
+    while remaining:
+        orbit = [next(iter(remaining))]
+        while rotate(orbit[-1]) != orbit[0]:
+            orbit.append(rotate(orbit[-1]))
+        remaining.difference_update(orbit)
+        orbits.append(sorted(orbit, key=canonical_key))
+    orbits.sort(key=lambda orbit: canonical_key(orbit[0]))
+    labelling = []
+    for orbit in orbits:
+        stab = p // len(orbit)
+        base = "E^" + multipartition_to_json(orbit[0])
+        labels = (base,) if stab == 1 else tuple(f"{base},{i}" for i in range(stab))
+        labelling.append((orbit[0], len(orbit), stab, labels))
+    return labelling
+
+
+@st.composite
+def periodic_specs(draw):
+    """(spec, l, p, n) for G(l,p,n): l <= 6, p | l, 3 <= n <= 6 or n = 2 with p odd.
+
+    The charges are the l/p-block; large levels get small ranks so that a
+    semisimple ambient set stays small.
+    """
+    l = draw(st.integers(1, 6))
+    p = draw(st.sampled_from([x for x in range(1, l + 1) if l % x == 0]))
+    n = draw(st.integers(2 if p % 2 else 3, 6 if l <= 3 else 4))
+    e = draw(st.sampled_from((2, 3, 4, 5, 6, 8, 12)))
+    k = draw(st.sampled_from([x for x in range(1, e) if math.gcd(x, e) == 1]))
+    r = draw(st.integers(1, 3))
+    charges = tuple(draw(st.lists(st.integers(-4, 4), min_size=l // p, max_size=l // p)))
+    return CycloSpec(e=e, k=k, r=r, charges=charges), l, p, n
+
+
 class TestGPN:
     def test_worked_example(self):
         spec = CycloSpec(e=12, k=1, r=2, charges=(0,))
@@ -716,3 +772,52 @@ class TestGPN:
             # rotation stability, re-checked here
             elems = set(bs.elements)
             assert {sigma_action(x, 2, 1) for x in elems} == elems
+
+    @given(periodic_specs())
+    @example((CycloSpec(e=4, k=1, r=1, charges=(0,)), 4, 4, 4))
+    @example((CycloSpec(e=4, k=1, r=1, charges=(0, 1)), 2, 1, 3))
+    @example((CycloSpec(e=4, k=1, r=1, charges=(0, 1)), 4, 2, 4))
+    @example((CycloSpec(e=8, k=3, r=3, charges=(5, -5)), 4, 2, 3))
+    @example((CycloSpec(e=12, k=1, r=2, charges=(0,)), 3, 3, 2))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_the_set_seeded_labelling(self, case):
+        # The examples: stabilisers 1, 2 and 4; p = 1; two rotation-unstable
+        # sets; n = 2 with p odd.
+        spec, l, p, n = case
+        try:
+            expected = _set_seeded_labelling(spec, l, p, n)
+        except DomainError as exc:
+            with pytest.raises(DomainError) as raised:
+                assemble_basic_set_gpn(spec, l, p, n)
+            assert str(raised.value) == str(exc)
+            return
+        labelling = assemble_basic_set_gpn(spec, l, p, n)
+        got = [(o.representative, o.orbit_size, o.stabilizer_size, o.labels) for o in labelling.orbits]
+        assert got == expected
+
+    def test_labels_the_benchmark_round_without_sorting(self, monkeypatch):
+        # A count, not a time: with the ambient sets given, labelling the gpn
+        # ops of round 0 (seed 0) compares no canonical keys and rotates each
+        # element once, to walk its orbit.  Sorting the orbits called
+        # canonical_key, and checking stability before labelling rotated each
+        # element a second time.  Both bindings of each function are counted.
+        ops = [op["params"] for op in benchmark_round(0) if op["kind"] == "gpn"]
+        cases = [(CycloSpec(o["e"], o["k"], o["r"], o["charges"]), o["l"], o["p"], o["n"]) for o in ops]
+        ambient = {}
+        for spec, l, p, n in cases:
+            tiled = CycloSpec(spec.e, spec.k, spec.r * p, spec.charges * p)
+            ambient[tiled, l, n] = assemble_basic_set(tiled, l, n)
+        monkeypatch.setattr(basicset, "assemble_basic_set", lambda *key: ambient[key])
+        calls = Counter()
+        for module in (basicset, combinatorics):
+            for name in ("canonical_key", "sigma_action"):
+                if hasattr(module, name):
+                    def counting(*args, original=getattr(module, name), name=name):
+                        calls[name] += 1
+                        return original(*args)
+
+                    monkeypatch.setattr(module, name, counting)
+        orbits = sum(len(assemble_basic_set_gpn(*case).orbits) for case in cases)
+        elements = sum(len(bs.elements) for bs in ambient.values())
+        assert len(cases) == 10 and orbits < elements
+        assert calls == {"sigma_action": elements}

@@ -608,6 +608,24 @@ class TestBasicSetCommands:
             "warning: class (3, 4): s vector (0, 1) chosen modulo 2",
         ]
 
+    def test_gpn_orbits_of_every_stabiliser_are_pinned(self, capsys):
+        # G(4,4,4): the digest was taken while each orbit was sorted and the
+        # orbit list sorted again by representative.
+        code, out, err = run_cli(capsys, *"basicset-gpn --l 4 --p 4 --n 4 --e 4 --r 1 --charges 0".split())
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "8696a5f1206ca455d1908f1fb1554027979e84e502185f1cbf32fa472e4c9cd1"
+        )
+        stabilisers = [line.split()[2] for line in out.splitlines()]
+        assert (len(stabilisers), sorted(set(stabilisers))) == (
+            28, ["stabilizerSize=1", "stabilizerSize=2", "stabilizerSize=4"]
+        )
+
+    def test_gpn_rotation_unstable_set_exits_1(self, capsys):
+        code, out, err = run_cli(capsys, *"basicset-gpn --l 4 --p 2 --n 4 --e 4 --r 1 --charges 0,1".split())
+        assert (code, out) == (1, "")
+        assert err.startswith("error: the assembled set is not stable under component rotation")
+
 
 class TestLevelFlag:
     # --l is checked before the charge count it sets, so the error names it.
