@@ -1,13 +1,13 @@
-import importlib.util
 import itertools
 import math
 import random
 from collections import Counter
-from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+
+from test_round0_digest import workloads
 
 from ariki import basicset, cli, combinatorics
 from ariki.basicset import (
@@ -390,10 +390,6 @@ class TestOnePassCrystal:
 
 def benchmark_round(seed):
     """The ops of round 0 of the benchmark's basicset workload at `seed`."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
     return workloads.round_ops("basicset", seed, 0)
 
 
