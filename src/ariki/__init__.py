@@ -25,7 +25,7 @@ from .combinatorics import (
     scaled_kappa,
     sigma_action,
 )
-from .errors import DomainError, InexactDivisionError, InternalError
+from .errors import DomainError, InternalError
 from .exactalg import (
     CycloLaurent,
     CyclotomicInt,
@@ -46,7 +46,6 @@ from .schur import (
     schur_gim,
     schur_mathas,
     theta_p,
-    xst_closed,
 )
 from .basicset import (
     BasicSet,

@@ -250,7 +250,7 @@ def f_tilde(m: Multipartition, t: int, charge: UglovCharge) -> Multipartition | 
 
 
 def _crystal_walk(lc: int, n_max: int, charge: UglovCharge) -> list[set[tuple[tuple[int, ...], ...]]]:
-    """The crystal component of the empty multipartition, layer by layer, by breadth-first search (e' >= 2)."""
+    """The crystal component of the empty multipartition, layer by layer, by breadth-first search (e' >= 2 above rank 0)."""
     s, ep = charge.s, charge.e_prime
     frontier = {((),) * lc}
     levels = [frontier]
@@ -403,10 +403,8 @@ def uglov_levels(lc: int, n_max: int, charge: UglovCharge) -> list[tuple[tuple[t
         # zip over one layer wraps each partition as a one-component vertex.
         return [tuple(zip(layer)) for layer in partition_layers(n_max, cap)]
     s, ep = charge.s, charge.e_prime
-    if ep == 1:
+    if ep == 1 and n_max:
         # eta^r = 1 with a level >= 2 class: semisimple only at rank 0.
-        if n_max == 0:
-            return [(((),) * lc,)]
         raise DomainError(
             "quantum characteristic 1 with a level >= 2 class: "
             "the component algebra is not semisimple and no crystal applies"

@@ -27,15 +27,14 @@ from .combinatorics import (
     multipartition_to_json,
     multipartition_to_obj,
 )
-from .errors import DomainError, InexactDivisionError, InternalError
+from .errors import DomainError, InternalError
 from .schur import (
     CycloSpec,
-    _Factors,
-    _formula_values,
     a_value_via_valuation,
     ariki_poly,  # unused here, but perfbench/tracing.py patches this name
     is_defect_zero,
     is_semisimple,
+    render_formulas,
     schur_cancellation_free,  # unused here, but perfbench/tracing.py patches this name
     schur_gim,  # unused here, but perfbench/tracing.py patches this name
     schur_mathas,  # unused here, but perfbench/tracing.py patches this name
@@ -203,9 +202,7 @@ def _cmd_schur(args) -> int:
             "the Schur element does not depend on L"
         )
     names = ("cancel", "mathas", "gim") if args.formula == "all" else (args.formula,)
-    # Each distinct factor multiset is multiplied and rendered once, straight
-    # from the product kernel's grid: formulas that share one share its text.
-    return _print_routes(_formula_values(lam, L, names, _Factors.render), args.json)
+    return _print_routes(render_formulas(lam, L, names), args.json)
 
 
 def _cmd_semisimple(args) -> int:
@@ -375,7 +372,7 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (InexactDivisionError, InternalError) as exc:
+    except InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,16 +1,8 @@
-"""Shared exception types."""
+"""Shared exception types: bad input, and a failed integrity check."""
 
 
 class DomainError(ValueError):
     """An argument violates a documented precondition."""
-
-
-class InexactDivisionError(ArithmeticError):
-    """A division that was required to be exact left a remainder.
-
-    Only ``exactalg.cyclotomic_polynomial`` divides polynomials (by
-    binomials x^m - 1); there this firing indicates a bug, never bad input.
-    """
 
 
 class InternalError(RuntimeError):

@@ -57,7 +57,7 @@ from functools import lru_cache
 from itertools import chain, compress, repeat
 from typing import Iterable, Mapping
 
-from .errors import DomainError, InexactDivisionError
+from .errors import DomainError, InternalError
 
 # ---------------------------------------------------------------------------
 # Multivariate Laurent polynomials over Z
@@ -460,13 +460,14 @@ def _times_binomial(poly: list[int], m: int) -> list[int]:
 
 
 def _over_binomial(poly: list[int], m: int) -> list[int]:
-    # poly / (x^m - 1), which must be exact: quot[i] = quot[i - m] - poly[i].
+    # poly / (x^m - 1), which must be exact (a remainder is a bug in
+    # cyclotomic_polynomial, the only caller): quot[i] = quot[i - m] - poly[i].
     d = len(poly) - 1 - m
     quot = [0] * (d + 1)
     for i in range(d + 1):
         quot[i] = (quot[i - m] if i >= m else 0) - poly[i]
     if poly[d + 1:] != [quot[i - m] if i >= m else 0 for i in range(d + 1, len(poly))]:
-        raise InexactDivisionError("cyclotomic polynomial division left a remainder")
+        raise InternalError("cyclotomic polynomial division left a remainder")
     return quot
 
 

@@ -5,12 +5,11 @@ implemented and cross-checked: a cancellation-free product over nodes, the
 quotient formula of Mathas, and the beta-number formula of Geck, Iancu and
 Malle.  Each builds its element as a multiset of irreducible factors
 (``_Factors``), divides by subtracting multiplicities and expands once.
-``schur_all`` compares the three canonical factorisations first and expands
-each distinct one once, so formulas that agree share one polynomial; the
-CLI renders each distinct one once (``_Factors.render``), straight from the
-product kernel's grid, without expanding it into a polynomial.  On
-top of them sit the semisimplicity criterion, the defect-0 test, and the
-valuation route to the a-value.
+``render_formulas`` compares the named formulas' canonical factorisations
+first and renders each distinct one once, straight from the product
+kernel's grid, without expanding it into a polynomial; formulas that agree
+share one text.  On top of the formulas sit the semisimplicity criterion,
+the defect-0 test, and the valuation route to the a-value.
 
 The criterion is a product of simple factors, and its specialisation lies
 in Z[zeta_N], which has no zero divisors: ``is_semisimple`` tests each
@@ -274,30 +273,6 @@ def _xst_mathas(f: _Factors, m: Multipartition, s: int, t: int) -> None:
             f.pair(j - i, s, k - mu_conj.part(k), t, -1)
 
 
-def xst_mathas(m: Multipartition, s: int, t: int) -> MultiLaurent:
-    """The X_st quotient, its den binomials cancelled against its num binomials."""
-    f = _Factors(m.level)
-    _xst_mathas(f, m, s, t)
-    return f.expand()
-
-
-def xst_closed(m: Multipartition, s: int, t: int) -> MultiLaurent:
-    """X_st for 0 <= s < t < l, by the closed product form (no division)."""
-    l = m.level
-    if not (0 <= s < t <= l - 1):
-        raise DomainError(f"need 0 <= s < t <= {l - 1}, got ({s},{t})")
-    lam, mu = m.components[s], m.components[t]
-    lam_conj, mu_conj = conjugate(lam), conjugate(mu)
-    f = _Factors(l)
-    f.monomial(1, -sum(a * b for a, b in zip(lam_conj.parts, mu_conj.parts)))
-    f.e_Q[s], f.e_Q[t] = mu.size, lam.size
-    for (i, j) in lam.nodes():
-        f.cross(gen_hook_length(lam, mu, i, j), s, t)
-    for (i, j) in mu.nodes():
-        f.cross(gen_hook_length(mu, lam, i, j), t, s)
-    return f.expand()
-
-
 def _mathas_factors(m: Multipartition) -> _Factors:
     """Quotient formula: every X_st quotient goes into one factor multiset.
 
@@ -375,30 +350,21 @@ def schur_gim(m: Multipartition, L: int | None = None) -> MultiLaurent:
     return _gim_factors(m, L).expand()
 
 
-def _formula_values(m: Multipartition, L: int | None, names, finish) -> dict:
-    """{name: finish(factor multiset)} for the named formulas among "cancel", "mathas", "gim".
+def render_formulas(m: Multipartition, L: int | None, names) -> dict[str, str]:
+    """{name: rendered Schur element} for the named formulas among "cancel", "mathas", "gim".
 
     Every named multiset is built first, in the order named.  The keys are
     irreducible and pairwise non-associate in a unique factorisation
-    domain, so equal multisets are equal elements: ``finish`` runs once per
-    distinct multiset, and formulas with equal multisets share its result.
+    domain, so equal multisets are equal elements: each distinct multiset is
+    rendered once, and formulas with equal multisets share its text.
     """
     builders = {"cancel": _cancellation_free_factors, "mathas": _mathas_factors, "gim": lambda m: _gim_factors(m, L)}
     built = {name: builders[name](m) for name in names}
-    values: dict = {}
+    values: dict[str, str] = {}
     for name, f in built.items():
         shared = next((values[other] for other in values if built[other] == f), None)
-        values[name] = finish(f) if shared is None else shared
+        values[name] = f.render() if shared is None else shared
     return values
-
-
-def schur_all(m: Multipartition, L: int | None = None) -> dict[str, MultiLaurent]:
-    """The three formulas' values, as {"cancel", "mathas", "gim"} -> polynomial.
-
-    Each distinct factor multiset is expanded once, and formulas with equal
-    multisets share one polynomial object.
-    """
-    return _formula_values(m, L, ("cancel", "mathas", "gim"), _Factors.expand)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from test_round0_digest import workloads
+from weyl_kac import basic_set_size, layer_counts
 
 from ariki import basicset, cli, combinatorics
 from ariki.basicset import (
@@ -32,7 +33,7 @@ from ariki.combinatorics import (
     sigma_action,
 )
 from ariki.errors import DomainError
-from ariki.schur import CycloSpec, is_semisimple, spec_map_for
+from ariki.schur import CycloSpec, is_semisimple, spec_map_for, zeta_exponents
 
 SPEC_312 = CycloSpec(e=12, k=1, r=6, charges=(3, -1, -2))
 
@@ -254,9 +255,12 @@ class TestCrystal:
         levels = uglov_levels(1, 10, UglovCharge(1, (0,)))
         assert levels == [tuple((p.parts,) for p in partitions_of(n)) for n in range(11)]
         assert list(map(set, levels)) == [{(p.parts,) for p in partitions_of(n)} for n in range(11)]
-        assert jset(uglov_multipartitions(2, 0, UglovCharge(1, (0, 0)))) == {"[[],[]]"}
-        with pytest.raises(DomainError):
-            uglov_multipartitions(2, 1, UglovCharge(1, (0, 0)))
+        # e' = 1 at level 2: only rank 0, from the FLOTW generator at the
+        # cylindric (0, 0) and from the walk at (0, 3).
+        for s in ((0, 0), (0, 3)):
+            assert jset(uglov_multipartitions(2, 0, UglovCharge(1, s))) == {"[[],[]]"}
+            with pytest.raises(DomainError):
+                uglov_multipartitions(2, 1, UglovCharge(1, s))
 
 
 def _reference_addable(parts):
@@ -625,6 +629,60 @@ class TestAssembleBasicSet:
     )
     def test_semisimplicity_matches_schur_scan(self, schur_scan, spec, l, n):
         assert is_semisimple(spec, l, n) == schur_scan(spec, l, n)
+
+
+@st.composite
+def weyl_kac_classes(draw):
+    lc = draw(st.integers(1, 4))
+    s = tuple(draw(st.lists(st.integers(-6, 6), min_size=lc, max_size=lc)))
+    return lc, draw(st.integers(0, 8)), UglovCharge(draw(st.integers(2, 7)), s)
+
+
+@st.composite
+def any_specs(draw):
+    """(spec, l, n), semisimple or not, with e' = 1 allowed."""
+    l = draw(st.integers(1, 4))
+    e = draw(st.sampled_from((2, 3, 4, 5, 6, 8, 12)))
+    k = draw(st.sampled_from([x for x in range(1, e) if math.gcd(x, e) == 1]))
+    charges = tuple(draw(st.lists(st.integers(-5, 5), min_size=l, max_size=l)))
+    return CycloSpec(e=e, k=k, r=draw(st.integers(1, 4)), charges=charges), l, draw(st.integers(0, 6))
+
+
+class TestWeylKacCounts:
+    """Every count equals the principally specialised character's (tests/weyl_kac.py).
+
+    The character reads the residues alone, so these hold for any lift of
+    the charges and any order of the components.
+    """
+
+    @given(weyl_kac_classes())
+    @example((2, 6, UglovCharge(2, (0, 3))))
+    @example((3, 5, UglovCharge(3, (4, -2, 0))))
+    @settings(max_examples=300, deadline=None)
+    def test_layer_sizes(self, case):
+        lc, n, charge = case
+        assert [len(x) for x in uglov_levels(lc, n, charge)] == layer_counts(charge.e_prime, charge.s, n)
+
+    # The examples: a class of level 2 beside one of level 1, interleaved
+    # classes, and e' = 1 with two equal parameters.
+    @given(any_specs())
+    @example((SPEC_312, 3, 4))
+    @example((CycloSpec(e=12, k=1, r=2, charges=(0, -3, -2)), 3, 6))
+    @example((CycloSpec(e=4, k=1, r=4, charges=(1, 3)), 2, 2))
+    @settings(max_examples=300, deadline=None)
+    def test_basic_set_sizes(self, case):
+        spec, l, n = case
+        N, a, _ = zeta_exponents(spec, l)
+        if is_semisimple(spec, l, n):
+            expected = sum(1 for _ in enumerate_multipartitions(l, n))
+        elif N == math.gcd(a, N):
+            # e' = 1, and equal parameters make a class of level >= 2.
+            with pytest.raises(DomainError, match="quantum characteristic 1"):
+                assemble_basic_set(spec, l, n)
+            return
+        else:
+            expected = basic_set_size(spec, l, n)
+        assert len(assemble_basic_set(spec, l, n).elements) == expected
 
 
 def _set_seeded_labelling(spec, l, p, n):
