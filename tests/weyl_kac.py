@@ -60,7 +60,10 @@ def basic_set_size(spec, l: int, n: int) -> int:
     With q -> zeta_N^a and Q_j -> zeta_N^(A_j) (``schur.zeta_exponents``),
     Q_i and Q_j lie in one class when they differ by a power of q's image,
     A_i = A_j mod gcd(a, N), and the residue of j in its class solves
-    s_j a = A_j - A_anchor mod N.  Needs e' = N / gcd(a, N) >= 2.
+    s_j a = A_j - A_anchor mod N.  These classes may be coarser than
+    ``basicset.dm_partition``'s, which join only powers -n < d < n; the
+    number of simple modules is a property of the algebra, so either
+    split gives it.  Needs e' = N / gcd(a, N) >= 2.
     """
     N, a, A = zeta_exponents(spec, l)
     g = math.gcd(a, N)
