@@ -62,7 +62,6 @@ from .combinatorics import (
     canonical_key,
     compositions,
     enumerate_multipartitions,
-    multipartition_to_json,
     orbit_and_stabilizer,
     partition_layers,
 )
@@ -76,14 +75,13 @@ from .schur import CycloSpec, is_semisimple, zeta_exponents
 
 @dataclass(frozen=True)
 class DMPartition:
-    """Classes of parameter indices, with per-class charge vectors.
+    """Classes of parameter indices, and the order e' of q's image.
 
-    classes[i] is an ascending tuple of indices; s_vectors[i] the integer
-    charges (first entry 0).
+    classes[i] is an ascending tuple of indices.  A class's integer charges
+    are lifted by `charge_for`.
     """
 
     classes: tuple[tuple[int, ...], ...]
-    s_vectors: tuple[tuple[int, ...], ...]
     e_prime: int
 
 
@@ -124,9 +122,8 @@ def dm_partition(spec: CycloSpec, l: int, n: int) -> DMPartition:
 
     Every image is read as an exponent of zeta_N (``zeta_exponents``):
     q -> zeta_N^a and Q_j -> zeta_N^(A_j).  Indices i and j are joined when
-    A_i = d*a + A_j mod N for some -n < d < n, and each class charge s_j
-    solves s_j*a = A_j - A_anchor mod N, so it is pinned modulo the order
-    e' = N / gcd(a, N) of q's image.
+    A_i = d*a + A_j mod N for some -n < d < n.  e' = N / gcd(a, N) is the
+    order of q's image.
     """
     N, a, A = zeta_exponents(spec, l)
     steps = {d * a % N for d in range(-n + 1, n)}
@@ -157,16 +154,20 @@ def dm_partition(spec: CycloSpec, l: int, n: int) -> DMPartition:
                     if _witness_exists(N, steps, A, i, j):
                         raise InternalError(f"cross-class witness between components {i} and {j}")
 
-    s_vectors = tuple(tuple(_solve_s(N, a, A[idx] - A[cls[0]]) for idx in cls) for cls in classes)
-    return DMPartition(tuple(classes), s_vectors, N // math.gcd(a, N))
+    return DMPartition(tuple(classes), N // math.gcd(a, N))
 
 
 def charge_for(dm: DMPartition, class_index: int, spec: CycloSpec) -> UglovCharge:
-    """Package the charge vector of one class, with its congruence diagnostics."""
+    """The integer charge vector of one class, with its congruence diagnostics.
+
+    Each s_j solves s_j*a = A_j - A_anchor mod N (``zeta_exponents``), so it
+    is pinned modulo e'; `_solve_s` lifts it to the least |s_j|, ties going
+    positive, and the anchor's s is 0.
+    """
     cls = dm.classes[class_index]
-    s = dm.s_vectors[class_index]
     l = spec.level
     N, a, A = zeta_exponents(spec, l)
+    s = tuple(_solve_s(N, a, A[idx] - A[cls[0]]) for idx in cls)
     # Substitution check: each s_j really solves its congruence.
     for idx, sj in zip(cls, s):
         if (sj * a - A[idx] + A[cls[0]]) % N != 0:
@@ -431,17 +432,15 @@ class BasicSet:
 
 @dataclass(frozen=True)
 class OrbitDatum:
+    """One rotation orbit: its least member, its size and its stabilizer's size.
+
+    The CLI's text output labels it E^rep, or E^rep,i for each i below a
+    stabilizer size above 1.
+    """
+
     representative: Multipartition
     orbit_size: int
     stabilizer_size: int
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        """E^rep once, or E^rep,i for each i below a stabilizer size above 1."""
-        base = "E^" + multipartition_to_json(self.representative)
-        if self.stabilizer_size == 1:
-            return (base,)
-        return tuple(f"{base},{i}" for i in range(self.stabilizer_size))
 
 
 @dataclass(frozen=True)

@@ -319,11 +319,11 @@ def _cmd_basicset_gpn(args) -> int:
         )
     else:
         for o in orbits:
-            labels = " ".join(o.labels)
-            print(
-                f"{multipartition_to_json(o.representative)} "
-                f"orbitSize={o.orbit_size} stabilizerSize={o.stabilizer_size} labels={labels}"
-            )
+            rep = multipartition_to_json(o.representative)
+            stab = o.stabilizer_size
+            # E^rep once, or E^rep,i for each i below a stabilizer size above 1.
+            labels = f"E^{rep}" if stab == 1 else " ".join(f"E^{rep},{i}" for i in range(stab))
+            print(f"{rep} orbitSize={o.orbit_size} stabilizerSize={stab} labels={labels}")
     return 0
 
 

@@ -245,19 +245,22 @@ def _product_grid(l: int, factors: Iterable[MultiLaurent]):
     columns from the highest total degree down gives descending graded-lex
     order with no sort of the terms.
 
-    When the factors' term counts multiply to fewer than
-    ``_TERM_PRODUCTS_PER_COLUMN`` per column of that grid, the grid would be
-    mostly zero cells (products sparse in q, a spread like q^(2^40), or rows
-    whose Q-degrees lie far apart).  Then q goes into the key as well, the
-    top field holds the total degree, so that descending keys are in
-    descending graded-lex order, and every row is a single coefficient: the
-    same steps then allocate nothing in proportion to the spread of any
-    exponent.
+    The layout is chosen before anything is multiplied.  Z[q^+-1, Q^+-1]
+    has no zero divisors, so the product's lowest and highest Q-degree
+    parts are the products of the factors' own, and its Q-degree span is
+    the sum of the factors' spans: that grid has q_spread + 1 + Q_spread
+    columns.  When the factors' term counts multiply to fewer than
+    ``_TERM_PRODUCTS_PER_COLUMN`` per column, the grid would be mostly zero
+    cells (products sparse in q, a spread like q^(2^40), or rows whose
+    Q-degrees lie far apart).  Then q goes into the key as well, the top
+    field holds the total degree, so that descending keys are in descending
+    graded-lex order, and every row is a single coefficient: the same steps
+    then allocate nothing in proportion to the spread of any exponent.
     """
     width = l + 1
     operands = []
     shift = [0] * width
-    spread = q_spread = 0
+    spread = q_spread = Q_spread = 0
     n_products = 1
     bound = 1
     zero = False
@@ -273,6 +276,8 @@ def _product_grid(l: int, factors: Iterable[MultiLaurent]):
         hi = tuple(map(max, cols))
         spread += sum(hi) - sum(lo)
         q_spread += hi[0] - lo[0]
+        Q_degrees = [sum(exps) - exps[0] for exps in terms]
+        Q_spread += max(Q_degrees) - min(Q_degrees)
         bound *= sum(map(abs, terms.values()))
         n_products *= len(terms)
         shift = list(map(operator.add, shift, lo))
@@ -286,24 +291,18 @@ def _product_grid(l: int, factors: Iterable[MultiLaurent]):
     nb = 1 << max(0, bound.bit_length().bit_length() - 3)
     B = 8 * nb
     deg_shift = bits * width
-    q_in_rows = _TERM_PRODUCTS_PER_COLUMN * (q_spread + 1) <= n_products
-    while True:
-        if q_in_rows:
-            row_len, row_shift = q_spread + 1, B
-            weights = [0] + [(1 << bits * (l - j)) - (1 << deg_shift) for j in range(1, width)]
-        else:
-            row_len, row_shift = 1, 0
-            weights = [(1 << deg_shift) + (1 << bits * (l - j)) for j in range(width)]
-        acc = _multiply(operands, weights, row_shift)
-        keys = sorted(acc, reverse=True)
-        top = keys[0] >> deg_shift
-        skews = [top - (k >> deg_shift) for k in keys] if row_shift else [0] * len(keys)
-        n_cols = row_len + skews[-1]
-        if not q_in_rows or _TERM_PRODUCTS_PER_COLUMN * n_cols <= n_products:
-            break
-        # Rows whose Q-degrees lie far apart would leave most cells of the
-        # skewed grid zero: multiply again with q in the key.
-        q_in_rows = False
+    n_cols = q_spread + 1 + Q_spread
+    if _TERM_PRODUCTS_PER_COLUMN * n_cols <= n_products:
+        row_len, row_shift = q_spread + 1, B
+        weights = [0] + [(1 << bits * (l - j)) - (1 << deg_shift) for j in range(1, width)]
+    else:
+        n_cols = row_len = 1
+        row_shift = 0
+        weights = [(1 << deg_shift) + (1 << bits * (l - j)) for j in range(width)]
+    acc = _multiply(operands, weights, row_shift)
+    keys = sorted(acc, reverse=True)
+    top = keys[0] >> deg_shift
+    skews = [top - (k >> deg_shift) for k in keys] if row_shift else [0] * len(keys)
     offset = (1 << B - 1) * (((1 << B * row_len) - 1) // ((1 << B) - 1))
     row_bytes = n_cols * nb
     rows = zip(skews, map(acc.__getitem__, keys))
@@ -646,12 +645,6 @@ class CycloLaurent:
             else:
                 out[e] = v
         return CycloLaurent(self.n, out)
-
-    def __neg__(self) -> "CycloLaurent":
-        return CycloLaurent(self.n, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other: "CycloLaurent") -> "CycloLaurent":
-        return self + (-other)
 
     def __mul__(self, other: "CycloLaurent") -> "CycloLaurent":
         self._check(other)

@@ -63,13 +63,13 @@ class TestDMPartition:
         dm = dm_partition(SPEC_312, 3, 2)
         assert dm.classes == ((0, 1), (2,))
         assert dm.e_prime == 2
-        assert dm.s_vectors == ((0, 0), (0,))
+        assert [charge_for(dm, i, SPEC_312).s for i in range(2)] == [(0, 0), (0,)]
 
     def test_periodic_zero_charges(self):
         spec = CycloSpec(e=12, k=1, r=6, charges=(0, 0, 0))
         dm = dm_partition(spec, 3, 2)
         assert dm.classes == ((0,), (1,), (2,))
-        assert dm.s_vectors == ((0,), (0,), (0,))
+        assert [charge_for(dm, i, spec).s for i in range(3)] == [(0,), (0,), (0,)]
 
     def test_huge_order_gives_singletons(self):
         spec = CycloSpec(e=101, k=1, r=1, charges=(0, 5, -3))
@@ -137,9 +137,8 @@ class TestZetaExponents:
                 assert (A[j] - A[0]) * scale % (l * e) == _congruence_rhs(spec, l, j, 0) % (l * e)
             dm = dm_partition(spec, l, n)
             classes, s_vectors, e_prime = _reference_dm(spec, l, n)
-            assert (dm.classes, dm.s_vectors, dm.e_prime) == (classes, s_vectors, e_prime), spec
-            for i, s in enumerate(s_vectors):
-                assert charge_for(dm, i, spec).s == s
+            assert (dm.classes, dm.e_prime) == (classes, e_prime), spec
+            assert tuple(charge_for(dm, i, spec).s for i in range(len(classes))) == s_vectors, spec
 
 
 class TestCrystal:
@@ -742,7 +741,7 @@ def periodic_specs(draw):
 
 
 class TestGPN:
-    def test_worked_example(self):
+    def test_worked_example(self, capsys):
         spec = CycloSpec(e=12, k=1, r=2, charges=(0,))
         orbits = assemble_basic_set_gpn(spec, 3, 3, 2).orbits
         assert len(orbits) == 2
@@ -751,9 +750,11 @@ class TestGPN:
             "[[2],[],[]]",
         }
         assert all(o.orbit_size == 3 and o.stabilizer_size == 1 for o in orbits)
-        assert [o.labels for o in orbits] == [
-            ("E^[[2],[],[]]",),
-            ("E^[[1],[1],[]]",),
+        argv = "basicset-gpn --l 3 --p 3 --n 2 --e 12 --k 1 --r 2 --charges 0".split()
+        assert cli.main(argv) == 0
+        assert [line.split(" labels=")[1] for line in capsys.readouterr().out.splitlines()] == [
+            "E^[[2],[],[]]",
+            "E^[[1],[1],[]]",
         ]
 
     def test_ambient_set_before_orbiting(self):
@@ -846,8 +847,18 @@ class TestGPN:
             assert str(raised.value) == str(exc)
             return
         labelling = assemble_basic_set_gpn(spec, l, p, n)
-        got = [(o.representative, o.orbit_size, o.stabilizer_size, o.labels) for o in labelling.orbits]
-        assert got == expected
+        got = [(o.representative, o.orbit_size, o.stabilizer_size) for o in labelling.orbits]
+        assert got == [orbit[:3] for orbit in expected]
+
+    def test_cli_labels_match_the_set_seeded_labelling(self, capsys):
+        # Stabilisers 1, 2 and 4: E^rep once, or E^rep,i for each i below the stabilizer size.
+        expected = _set_seeded_labelling(CycloSpec(e=4, k=1, r=1, charges=(0,)), 4, 4, 4)
+        assert {stab for _, _, stab, _ in expected} == {1, 2, 4}
+        assert cli.main("basicset-gpn --l 4 --p 4 --n 4 --e 4 --k 1 --r 1 --charges 0".split()) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [tuple(line.split(" labels=")[1].split(" ")) for line in lines] == [
+            labels for _, _, _, labels in expected
+        ]
 
     def test_labels_the_benchmark_round_without_sorting(self, monkeypatch):
         # A count, not a time: with the ambient sets given, labelling the gpn

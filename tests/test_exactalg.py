@@ -1,12 +1,14 @@
 import random
 import subprocess
 import sys
+from collections import Counter
 from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ariki import exactalg
 from ariki.errors import DomainError, InternalError
 from ariki.exactalg import (
     CycloLaurent,
@@ -24,6 +26,7 @@ from ariki.exactalg import (
     specialise,
     u_valuation,
 )
+from ariki.verify import verify_fuzz
 
 
 def q_poly(*coeffs_by_exp):
@@ -101,6 +104,22 @@ def factor_lists(draw):
     exps = st.tuples(*[st.integers(-4, 4)] * (l + 1))
     factor = st.dictionaries(exps, st.integers(-5, 5), max_size=4).map(lambda terms: MultiLaurent(l, terms))
     return l, draw(st.lists(factor, max_size=4))
+
+
+@st.composite
+def nonzero_factor_lists(draw):
+    """(l, factors): 1 to 4 nonzero factors, in the ranges of the fuzz suite's random factors."""
+    l = draw(st.integers(1, 3))
+    exps = st.tuples(*[st.integers(-3, 3)] * (l + 1))
+    coeff = st.integers(-5, 5).filter(bool)
+    factor = st.dictionaries(exps, coeff, min_size=1, max_size=6).map(lambda terms: MultiLaurent(l, terms))
+    return l, draw(st.lists(factor, min_size=1, max_size=4))
+
+
+def _Q_span(f):
+    """The highest Q-degree of f's terms less the lowest."""
+    degrees = [sum(exps) - exps[0] for exps in f.terms]
+    return max(degrees) - min(degrees)
 
 
 # Magnitudes whose signed fields need 8, 16, 32, 64 and more than 64 bits.
@@ -223,6 +242,28 @@ class TestExactDivide:
         product = product_divide(l, factors)
         assert product == chained
         assert list(product.terms) == sorted(product.terms, key=_graded_lex, reverse=True)
+
+    @given(nonzero_factor_lists())
+    @settings(max_examples=300, deadline=None)
+    def test_Q_degree_span_is_the_sum_of_the_factors_spans(self, case):
+        # No zero divisors: _product_grid sizes its grid from this sum
+        # before it multiplies.
+        l, factors = case
+        assert _Q_span(product_divide(l, factors)) == sum(map(_Q_span, factors))
+
+    def test_one_multiplication_per_grid(self, monkeypatch):
+        # A count, not a time: the grid's layout is chosen before the
+        # factors are multiplied, so no product of the fuzz suite is
+        # multiplied twice.
+        calls = Counter()
+        for name in ("_multiply", "_product_grid"):
+            def counting(*args, original=getattr(exactalg, name), name=name):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(exactalg, name, counting)
+        assert verify_fuzz().passed
+        assert calls == {"_multiply": 500, "_product_grid": 500}
 
     @given(kernel_cases())
     @settings(max_examples=400, deadline=None)
