@@ -37,9 +37,7 @@ from .exactalg import (
 from .schur import (
     CycloSpec,
     a_value_via_valuation,
-    alpha_identity,
     ariki_poly,
-    conj_content_identity,
     is_defect_zero,
     is_semisimple,
     schur_cancellation_free,

@@ -127,24 +127,15 @@ def dm_partition(spec: CycloSpec, l: int, n: int) -> DMPartition:
     """
     N, a, A = zeta_exponents(spec, l)
     steps = {d * a % N for d in range(-n + 1, n)}
-    adj = {i: set() for i in range(l)}
+    # owner[i] is the least index of i's class: a join keeps the lesser
+    # owner, so the owners, in order, give the classes by least element.
+    owner = list(range(l))
     for i in range(l):
         for j in range(i + 1, l):
             if _witness_exists(N, steps, A, i, j):
-                adj[i].add(j)
-                adj[j].add(i)
-    # Each search starts from the least index not yet in a class, so the
-    # classes come out ordered by least element.
-    classes: list[tuple[int, ...]] = []
-    for start in range(l):
-        if any(start in cls for cls in classes):
-            continue
-        comp, stack = {start}, [start]
-        while stack:
-            new = adj[stack.pop()] - comp
-            comp |= new
-            stack += new
-        classes.append(tuple(sorted(comp)))
+                keep, drop = sorted((owner[i], owner[j]))
+                owner = [keep if o == drop else o for o in owner]
+    classes = [tuple(i for i in range(l) if owner[i] == o) for o in range(l) if owner[o] == o]
 
     # Independent re-check of the defining property: no cross-class witness.
     for x in range(len(classes)):

@@ -149,7 +149,7 @@ def conjugate(p: Partition) -> Partition:
 
 def n_function(p: Partition) -> int:
     """sum over rows of (i-1) * lambda_i."""
-    return sum((i - 1) * part for i, part in enumerate(p.parts, start=1))
+    return _weighted_sum(p.parts)
 
 
 def gen_hook_length(lam: Partition, mu: Partition, i: int, j: int) -> int:

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from .combinatorics import (
     ChargeData,
     Multipartition,
-    Partition,
     conjugate,
     enumerate_multipartitions,  # unused here, but perfbench/tracing.py patches this name
     gen_hook_length,
@@ -254,11 +253,6 @@ def schur_cancellation_free(m: Multipartition) -> MultiLaurent:
     return _cancellation_free_factors(m).expand()
 
 
-def _alpha_conjugate(m: Multipartition) -> int:
-    # Each term (c - 1)c is even.
-    return sum((c - 1) * c for comp in m.components for c in conjugate(comp).parts) // 2
-
-
 def _xst_mathas(f: _Factors, m: Multipartition, s: int, t: int) -> None:
     """Multiply f by the X_st quotient: its num binomials, and its den binomials with k = -1."""
     lam, mu = m.components[s], m.components[t]
@@ -276,12 +270,14 @@ def _xst_mathas(f: _Factors, m: Multipartition, s: int, t: int) -> None:
 def _mathas_factors(m: Multipartition) -> _Factors:
     """Quotient formula: every X_st quotient goes into one factor multiset.
 
-    The den binomials of each X_st divide out by multiplicity.
+    The den binomials of each X_st divide out by multiplicity.  The q-power
+    is -alpha, alpha = sum over components of n(lambda^(s)) (``n_function``).
     """
     l, n = m.level, m.rank
     f = _Factors(l)
     e_Q = tuple(comp.size - n for comp in m.components)
-    f.monomial(-1 if (n * (l - 1)) % 2 else 1, -_alpha_conjugate(m), e_Q)
+    alpha = sum(n_function(comp) for comp in m.components)
+    f.monomial(-1 if (n * (l - 1)) % 2 else 1, -alpha, e_Q)
     for comp in m.components:
         for (i, j) in comp.nodes():
             f.q_integer(gen_hook_length(comp, comp, i, j))
@@ -365,49 +361,6 @@ def render_formulas(m: Multipartition, L: int | None, names) -> dict[str, str]:
         shared = next((values[other] for other in values if built[other] == f), None)
         values[name] = f.render() if shared is None else shared
     return values
-
-
-# ---------------------------------------------------------------------------
-# Checkable identities behind the formulas
-
-
-def conj_content_identity(p: Partition, k: int) -> bool:
-    """Two-variable rational identity relating rim contents of p and its conjugate.
-
-    Verified after clearing denominators, by comparing canonical forms.
-    """
-    if not (1 <= k <= p.part(1)):
-        raise DomainError(f"need 1 <= k <= {p.part(1)}, got {k}")
-    pc = conjugate(p)
-    l = 1  # variables: q and y := Q_0
-
-    def factor(a: int) -> MultiLaurent:
-        # q^a y - 1
-        return MultiLaurent(l, {(a, 1): 1, (0, 0): -1})
-
-    lhs_num = MultiLaurent.one(l)
-    lhs_den = MultiLaurent.one(l)
-    for i in range(1, pc.part(k) + 1):
-        lhs_num = lhs_num * factor(p.part(i) - i + 1)
-        lhs_den = lhs_den * factor(p.part(i) - i)
-    rhs_num = MultiLaurent.one(l)
-    rhs_den = MultiLaurent.one(l)
-    for j in range(k, p.part(1) + 1):
-        rhs_num = rhs_num * factor(-pc.part(j) + j - 1)
-        rhs_den = rhs_den * factor(-pc.part(j) + j)
-    left = lhs_num * factor(-pc.part(k) + k - 1) * rhs_den
-    right = rhs_num * factor(p.part(1)) * lhs_den
-    return left == right
-
-
-def alpha_identity(m: Multipartition) -> bool:
-    """alpha(conjugates) + cross column products == n(merged parts), exactly."""
-    conjs = [conjugate(c) for c in m.components]
-    cross = 0
-    for s in range(len(conjs)):
-        for t in range(s + 1, len(conjs)):
-            cross += sum(a * b for a, b in zip(conjs[s].parts, conjs[t].parts))
-    return _alpha_conjugate(m) + cross == n_function(rebar(m))
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@
 Each suite re-checks one family of identities with an independent oracle:
 cross-multiplied canonical forms for the rational lemma, brute-force
 partial sums for dominance, the all-Schur-elements scan against the
-product criterion, and so on.  Each suite is a generator of (checks,
+product criterion, and so on.  The ``lemmas`` suite's identities live here,
+as no production path calls them.  Each suite is a generator of (checks,
 failure) pairs, and ``_suite`` names, times and tallies it into a
 ``SuiteResult``.  All randomness is seeded, so output is identical across
 runs and across worker counts.
@@ -44,16 +45,19 @@ from .combinatorics import (
     Partition,
     a_value_combinatorial,
     a_value_hook_formula,
+    conjugate,
     dominates,
     enumerate_multipartitions,
     min_symbol_size,
     multipartition_to_json,
     multiset_dominates,
+    n_function,
     partition_layers,
+    rebar,
     scaled_kappa,
     sigma_action,
 )
-from .errors import InternalError
+from .errors import DomainError, InternalError
 from .exactalg import (
     CyclotomicInt,
     MultiLaurent,
@@ -67,9 +71,7 @@ from .schur import (
     CycloSpec,
     a_value_of_element,
     a_value_via_valuation,
-    alpha_identity,
     ariki_poly,
-    conj_content_identity,
     is_defect_zero,
     is_semisimple,
     schur_cancellation_free,
@@ -173,6 +175,46 @@ def _suite(name: str):
 
 # ---------------------------------------------------------------------------
 # lemmas
+
+
+def conj_content_identity(p: Partition, k: int) -> bool:
+    """Two-variable rational identity relating rim contents of p and its conjugate.
+
+    Verified after clearing denominators, by comparing canonical forms.
+    """
+    if not (1 <= k <= p.part(1)):
+        raise DomainError(f"need 1 <= k <= {p.part(1)}, got {k}")
+    pc = conjugate(p)
+    l = 1  # variables: q and y := Q_0
+
+    def factor(a: int) -> MultiLaurent:
+        # q^a y - 1
+        return MultiLaurent(l, {(a, 1): 1, (0, 0): -1})
+
+    lhs_num = MultiLaurent.one(l)
+    lhs_den = MultiLaurent.one(l)
+    for i in range(1, pc.part(k) + 1):
+        lhs_num = lhs_num * factor(p.part(i) - i + 1)
+        lhs_den = lhs_den * factor(p.part(i) - i)
+    rhs_num = MultiLaurent.one(l)
+    rhs_den = MultiLaurent.one(l)
+    for j in range(k, p.part(1) + 1):
+        rhs_num = rhs_num * factor(-pc.part(j) + j - 1)
+        rhs_den = rhs_den * factor(-pc.part(j) + j)
+    left = lhs_num * factor(-pc.part(k) + k - 1) * rhs_den
+    right = rhs_num * factor(p.part(1)) * lhs_den
+    return left == right
+
+
+def alpha_identity(m: Multipartition) -> bool:
+    """alpha(conjugates) + cross column products == n(merged parts), exactly.
+
+    alpha = sum of C(lambda'_j, 2) over all columns, not the row sums of n(lambda^(s)).
+    """
+    conjs = [conjugate(c).parts for c in m.components]
+    alpha = sum(math.comb(c, 2) for conj in conjs for c in conj)
+    cross = sum(a * b for s, x in enumerate(conjs) for y in conjs[s + 1 :] for a, b in zip(x, y))
+    return alpha + cross == n_function(rebar(m))
 
 
 def _lemma_rational_worker(p: Partition) -> tuple[int, str | None]:

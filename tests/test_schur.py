@@ -1,4 +1,6 @@
 import math
+import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,7 +16,7 @@ from ariki.combinatorics import (
     partitions_of,
 )
 from ariki.errors import DomainError, InternalError
-from ariki.exactalg import CycloLaurent, MultiLaurent, specialise
+from ariki.exactalg import CycloLaurent, MultiLaurent, cyclotomic_polynomial, specialise
 from ariki.schur import (
     CycloSpec,
     _cancellation_free_factors,
@@ -22,9 +24,7 @@ from ariki.schur import (
     _gim_factors,
     _mathas_factors,
     a_value_via_valuation,
-    alpha_identity,
     ariki_poly,
-    conj_content_identity,
     is_defect_zero,
     is_semisimple,
     render_formulas,
@@ -36,6 +36,7 @@ from ariki.schur import (
     spec_map_root_of_unity,
     theta_p,
 )
+from ariki.verify import alpha_identity, conj_content_identity
 from xst_routes import xst_closed, xst_mathas
 
 
@@ -318,6 +319,63 @@ class TestSchurAll:
                 assert _mathas_factors(lam) == expected, lam
                 for L in range(lam.length, lam.length + 41):
                     assert _gim_factors(lam, L) == expected, (lam, L)
+
+
+def factors_value(f: _Factors, q: Fraction, Q: tuple[Fraction, ...]) -> Fraction:
+    """A factor multiset's value at (q, Q), factor by factor in exact Fractions: no expansion."""
+    value = f.sign * q**f.e_q * math.prod(x**e for x, e in zip(Q, f.e_Q))
+    for key, k in f.keys.items():
+        if key[0] == "phi":
+            base = sum(c * q**i for i, c in enumerate(cyclotomic_polynomial(key[1])))
+        else:
+            h, s, t = key[1:]
+            base = q**h * Q[s] / Q[t] - 1
+        value *= base**k
+    return value
+
+
+def standard_tableaux(m) -> int:
+    """dim S^m: n! / prod |m^(c)|! times prod of f^(m^(c)), each by the hook length formula."""
+    dim = math.factorial(m.rank) // math.prod(math.factorial(c.size) for c in m.components)
+    for c in m.components:
+        columns = [sum(p >= j for p in c.parts) for j in range(1, c.part(1) + 1)]
+        hooks = math.prod(p - j + columns[j - 1] - i + 1 for i, p in enumerate(c.parts, 1) for j in range(1, p + 1))
+        dim *= math.factorial(c.size) // hooks
+    return dim
+
+
+class TestTraceIdentity:
+    """tau(1) = 1 for the symmetrising trace tau = sum over m of chi_m / s_m.
+
+    So sum over m of dim S^m / s_m = 1 for every (l, n), at every point.  A
+    factor that all three formulas share, a sign or a monomial, which the
+    cross-check between them cannot see, breaks it.
+    """
+
+    BUILDERS = {
+        "cancel": _cancellation_free_factors,
+        "mathas": _mathas_factors,
+        "gim": lambda m: _gim_factors(m, m.length + 1),
+    }
+
+    @pytest.mark.parametrize("l, n", [(l, n) for l in (1, 2, 3) for n in range(6)] + [(4, n) for n in range(5)])
+    def test_dimensions_over_schur_elements_sum_to_one(self, l, n):
+        rng = random.Random(100 * l + n)
+        lams = enumerate_multipartitions(l, n)
+        for _ in range(2):
+            # 0 < q < 1, so no Phi_d vanishes at q.
+            q = Fraction(rng.randint(1, 40), rng.randint(41, 80))
+            Q = tuple(Fraction(rng.randint(1, 99), rng.randint(1, 99)) for _ in range(l))
+            for name, build in self.BUILDERS.items():
+                total = sum(Fraction(standard_tableaux(m)) / factors_value(build(m), q, Q) for m in lams)
+                assert total == 1, (name, q, Q)
+
+    def test_dimensions_are_standard_tableaux_counts(self):
+        # Level 1: the hook length formula; level l, rank n: sum of dim^2 is l^n n!.
+        assert [standard_tableaux(mp(p)) for p in ([3], [2, 1], [1, 1, 1], [3, 2, 1])] == [1, 2, 1, 16]
+        for l, n in [(1, 5), (2, 4), (3, 3)]:
+            total = sum(standard_tableaux(m) ** 2 for m in enumerate_multipartitions(l, n))
+            assert total == l**n * math.factorial(n)
 
 
 class TestLemmas:
