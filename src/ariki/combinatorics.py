@@ -118,18 +118,14 @@ def multipartition_to_json(m: Multipartition) -> str:
     return json.dumps(multipartition_to_obj(m), separators=(",", ":"))
 
 
-def multipartition_from_obj(obj) -> Multipartition:
-    if not isinstance(obj, list) or not obj or not all(isinstance(c, list) for c in obj):
-        raise DomainError("multipartition literal must be a nonempty array of arrays")
-    return mp(*obj)
-
-
 def multipartition_from_json(text: str) -> Multipartition:
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DomainError(f"bad multipartition literal: {exc}") from exc
-    return multipartition_from_obj(obj)
+    if not isinstance(obj, list) or not obj or not all(isinstance(c, list) for c in obj):
+        raise DomainError("multipartition literal must be a nonempty array of arrays")
+    return mp(*obj)
 
 
 # ---------------------------------------------------------------------------
@@ -254,9 +250,10 @@ def _scaled_rows(m: Multipartition, charge: ChargeData, size: int) -> list[tuple
             *(top + r * (p - i) for i, p in enumerate(comp.parts, start=1)),
             *range(top - r * (comp.length + 1), top - r * (width + 1), -r),
         )
-        # Rows decrease strictly, so the last entry is the smallest.
+        # Rows decrease strictly, so the last entry is the smallest.  Once the
+        # widths pass it is at least c mod r: a negative one is a bug.
         if row and row[-1] < 0:
-            raise DomainError(f"negative symbol entry {Fraction(row[-1], r)}; size {size} is too small")
+            raise InternalError(f"negative symbol entry {Fraction(row[-1], r)}; size {size} is too small")
         rows.append(row)
     return rows
 
@@ -266,10 +263,8 @@ def _weighted_sum(entries: Sequence[int]) -> int:
     return sum(i * v for i, v in enumerate(entries))
 
 
-def scaled_kappa(m: Multipartition, charge: ChargeData, size: int | None = None) -> tuple[int, ...]:
+def scaled_kappa(m: Multipartition, charge: ChargeData, size: int) -> tuple[int, ...]:
     """r times the kappa entries, as ints in weakly decreasing order."""
-    if size is None:
-        size = min_symbol_size(m, charge)
     return tuple(sorted((v for row in _scaled_rows(m, charge, size) for v in row), reverse=True))
 
 
@@ -278,16 +273,19 @@ def a_value_combinatorial(m: Multipartition, charge: ChargeData) -> int:
 
     r * n_m is the weighted sum of the entries scaled by r.
     """
-    size, nil = _empty_part(charge, min_symbol_size(m, charge))
-    return _weighted_sum(scaled_kappa(m, charge, size)) - nil
+    size = min_symbol_size(m, charge)
+    return _weighted_sum(scaled_kappa(m, charge, size)) - _empty_part(charge, size)
 
 
 @lru_cache(maxsize=None)
-def _empty_part(charge: ChargeData, size: int) -> tuple[int, int]:
-    """The common symbol size for a multipartition of minimal size `size`, and r * n_m(empty) at it."""
-    empty = Multipartition((EMPTY,) * charge.level)
-    size = max(size, min_symbol_size(empty, charge))
-    return size, _weighted_sum(scaled_kappa(empty, charge, size))
+def _empty_part(charge: ChargeData, size: int) -> int:
+    """r * n_m(empty) at symbol size `size`.
+
+    The empty multipartition's minimal size is the maximum of 1 and the
+    1 - floor(c_j / r); every multipartition's minimal size is a maximum over
+    those terms and more, so it is a common size for both.
+    """
+    return _weighted_sum(scaled_kappa(Multipartition((EMPTY,) * charge.level), charge, size))
 
 
 def a_value_hook_formula(m: Multipartition, charge: ChargeData) -> int:
@@ -384,13 +382,9 @@ def orbit_and_stabilizer(m: Multipartition, p: int, d: int) -> tuple[tuple[Multi
 # Canonical order and enumeration
 
 
-def partition_key(p: Partition) -> tuple:
-    # Size descending, then parts lexicographically descending.
-    return (-p.size, tuple(-x for x in p.parts))
-
-
 def canonical_key(m: Multipartition) -> tuple:
-    return tuple(partition_key(c) for c in m.components)
+    # Each component by size descending, then parts lexicographically descending.
+    return tuple((-c.size, tuple(-x for x in c.parts)) for c in m.components)
 
 
 def partition_layers(n_max: int, cap: int | None = None) -> list[tuple[tuple[int, ...], ...]]:

@@ -594,15 +594,12 @@ class CyclotomicInt:
             return NotImplemented
         return self.n == other.n and self.coeffs == other.coeffs
 
-    def __hash__(self) -> int:
-        return hash((self.n, self.coeffs))
-
     def __repr__(self) -> str:
         return f"CyclotomicInt({self.n}, {self.coeffs})"
 
-    def render(self, var: str = "z") -> str:
+    def render(self) -> str:
         """Powers ascending, e.g. ``1 - z + 2*z^3``, in ``render_product``'s term grammar."""
-        pieces = [_signed(c, "*" if e else "") + _power(var, e, "") for e, c in enumerate(self.coeffs) if c]
+        pieces = [_signed(c, "*" if e else "") + _power("z", e, "") for e, c in enumerate(self.coeffs) if c]
         if not pieces:
             return "0"
         pieces[0] = _lead(pieces[0])

@@ -52,6 +52,14 @@ from .exactalg import (
 # Specialisation parameters
 
 
+def _check_root_of_unity(e: int, k: int) -> None:
+    """eta = zeta_e^k must be a primitive e-th root of unity, with e >= 2."""
+    if e < 2:
+        raise DomainError("e must be >= 2")
+    if math.gcd(k, e) != 1:
+        raise DomainError("gcd(k,e) must be 1")
+
+
 @dataclass(frozen=True)
 class CycloSpec:
     """Parameters of a specialisation onto roots of unity.
@@ -69,10 +77,7 @@ class CycloSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "charges", tuple(self.charges))
-        if self.e < 2:
-            raise DomainError("e must be >= 2")
-        if math.gcd(self.k, self.e) != 1:
-            raise DomainError("gcd(k,e) must be 1")
+        _check_root_of_unity(self.e, self.k)
         if self.r < 1:
             raise DomainError("r must be a positive integer")
 
@@ -96,10 +101,7 @@ def spec_map_cyclotomic(charge: ChargeData) -> SpecMap:
 
 def spec_map_root_of_unity(e: int, k: int, v: tuple[int, ...]) -> SpecMap:
     """q -> eta, Q_j -> eta^(v_j) with eta = zeta_e^k."""
-    if e < 2:
-        raise DomainError("e must be >= 2")
-    if math.gcd(k, e) != 1:
-        raise DomainError("gcd(k,e) must be 1")
+    _check_root_of_unity(e, k)
     return SpecMap(n=e, q_image=(k % e, 0), Q_images=tuple(((k * vj) % e, 0) for vj in v))
 
 
@@ -448,8 +450,7 @@ def theta_p(spec: CycloSpec, l: int, n: int) -> CycloLaurent:
 
 def is_defect_zero(m: Multipartition, e: int, v: tuple[int, ...]) -> bool:
     """Whether the module labelled by m stays projective irreducible at eta of order e."""
-    if e < 2:
-        raise DomainError("e must be >= 2")
+    _check_root_of_unity(e, 1)
     v = tuple(v)
     if len(v) != m.level:
         raise DomainError(f"{len(v)} charges for level {m.level}")

