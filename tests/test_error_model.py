@@ -8,33 +8,27 @@ flags.  An ``assert`` would vanish under ``python -O``, and a bare
 """
 
 import ast
-from pathlib import Path
 
 import pytest
+from source_trees import TREES, nodes
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "ariki"
-MODULES = sorted(SRC.glob("*.py"))
 RAISED = {"DomainError", "InternalError"}
 RAISED_BY_CLI = RAISED | {"FlagError", "argparse.ArgumentTypeError"}
 
 
-def _nodes(path, kind):
-    return [node for node in ast.walk(ast.parse(path.read_text(), filename=str(path))) if isinstance(node, kind)]
-
-
 def test_every_module_is_read():
-    assert {"cli.py", "errors.py", "exactalg.py", "schur.py"} <= {p.name for p in MODULES}
+    assert {"basicset.py", "cli.py", "errors.py", "exactalg.py", "schur.py", "verify.py"} <= set(TREES)
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
-def test_raises_name_the_two_error_types(path):
-    allowed = RAISED_BY_CLI if path.name == "cli.py" else RAISED
-    for node in _nodes(path, ast.Raise):
+@pytest.mark.parametrize("name", sorted(TREES))
+def test_raises_name_the_two_error_types(name):
+    allowed = RAISED_BY_CLI if name == "cli.py" else RAISED
+    for node in nodes(name, ast.Raise):
         exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
-        assert exc is not None and ast.unparse(exc) in allowed, f"{path.name}:{node.lineno}"
+        assert exc is not None and ast.unparse(exc) in allowed, f"{name}:{node.lineno}"
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
-def test_no_assert_and_no_bare_except(path):
-    assert [node.lineno for node in _nodes(path, ast.Assert)] == []
-    assert [node.lineno for node in _nodes(path, ast.ExceptHandler) if node.type is None] == []
+@pytest.mark.parametrize("name", sorted(TREES))
+def test_no_assert_and_no_bare_except(name):
+    assert [node.lineno for node in nodes(name, ast.Assert)] == []
+    assert [node.lineno for node in nodes(name, ast.ExceptHandler) if node.type is None] == []

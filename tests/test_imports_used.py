@@ -1,18 +1,18 @@
-"""Every name a production module imports is used there.
+"""Every name a production module imports is used there, and none is private.
 
-Each ``src/ariki`` module but ``__init__.py`` (whose imports are the
-package's exports) is parsed, not imported.  A name counts as used when it
-is read anywhere in the module, annotations included.  An import left behind
-after its last use moved elsewhere fails here.
+Each ``src/ariki`` module is parsed, not imported.  A name counts as used
+when it is read anywhere in the module, annotations included.  An import
+left behind after its last use moved elsewhere fails here.  ``__init__.py``
+is exempt from that rule: its imports are the package's exports.  No module
+imports another module's private (underscore) name.
 """
 
 import ast
-from pathlib import Path
 
 import pytest
+from source_trees import TREES, nodes
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "ariki"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(set(TREES) - {"__init__.py"})
 
 # Unused on purpose: the benchmark's tracer (perfbench/tracing.py) patches
 # these module attributes, so the imports must stay until it stops patching.
@@ -22,28 +22,32 @@ TRACER_TARGETS = {
 }
 
 
-def _imported_and_used(path):
-    tree = ast.parse(path.read_text(), filename=str(path))
+def test_every_module_is_read():
+    assert {"basicset.py", "cli.py", "exactalg.py", "schur.py", "verify.py"} <= set(MODULES)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_imported_name_is_used(name):
     imported = {}
-    for node in ast.walk(tree):
+    for node in nodes(name, (ast.Import, ast.ImportFrom)):
         if isinstance(node, ast.ImportFrom) and node.module == "__future__":
             continue
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
-            for alias in node.names:
-                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    return imported, used
-
-
-def test_every_module_is_read():
-    assert {"basicset.py", "cli.py", "exactalg.py", "schur.py", "verify.py"} <= {p.name for p in MODULES}
-
-
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
-def test_every_imported_name_is_used(path):
-    imported, used = _imported_and_used(path)
-    allowed = TRACER_TARGETS.get(path.name, set())
-    unused = {name: line for name, line in imported.items() if name not in used and name not in allowed}
-    assert unused == {}, path.name
+        for alias in node.names:
+            imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    used = {node.id for node in nodes(name, ast.Name)}
+    allowed = TRACER_TARGETS.get(name, set())
+    unused = {n: line for n, line in imported.items() if n not in used and n not in allowed}
+    assert unused == {}, name
     # The allowlist holds only imports that are still there and still unused.
-    assert {name for name in allowed if name in imported and name not in used} == allowed, path.name
+    assert {n for n in allowed if n in imported and n not in used} == allowed, name
+
+
+@pytest.mark.parametrize("name", sorted(TREES))
+def test_no_private_name_is_imported(name):
+    private = [
+        f"{alias.name}:{node.lineno}"
+        for node in nodes(name, ast.ImportFrom)
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == [], name

@@ -11,9 +11,9 @@ is read again has to go.
 
 import ast
 from collections import Counter
-from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "ariki"
+from source_trees import TREES
+
 DEFINING = ("combinatorics", "exactalg", "schur", "basicset")
 READING = ("cli", "combinatorics", "exactalg", "schur", "basicset", "errors")
 
@@ -49,11 +49,10 @@ def _reads(tree) -> Counter:
 
 
 def _unread_definitions() -> set[str]:
-    trees = {name: ast.parse((SRC / f"{name}.py").read_text()) for name in READING}
-    reads = sum(map(_reads, trees.values()), Counter())
+    reads = sum((_reads(TREES[f"{module}.py"]) for module in READING), Counter())
     unread = set()
     for module in DEFINING:
-        for node in trees[module].body:
+        for node in TREES[f"{module}.py"].body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
             defs = [(node.name, node)]
