@@ -14,9 +14,10 @@ the defect-0 test, and the valuation route to the a-value.
 The criterion is a product of simple factors, and its specialisation lies
 in Z[zeta_N], which has no zero divisors: ``is_semisimple`` tests each
 factor's image in integer arithmetic and ``theta_p`` multiplies the images
-sparsely.  ``ariki_poly`` multiplies the criterion out, as a factor multiset
-expanded once like the Schur elements; it is an oracle for ``verify`` and
-the tests only.
+in Z[x]/(x^N - 1) (``cyclic_product``: one packed int while N is small, a
+sparse dict past that).  ``ariki_poly`` multiplies the criterion out, as a
+factor multiset expanded once like the Schur elements; it is an oracle for
+``verify`` and the tests only.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from .exactalg import (
     CyclotomicInt,
     MultiLaurent,
     SpecMap,
+    cyclic_product,
     cyclotomic_polynomial,
     product_divide,
     render_product,
@@ -395,10 +397,11 @@ def ariki_poly(l: int, n: int) -> MultiLaurent:
 
 
 # theta_p's memory grows with the conductor N = lcm(l, e): a dense row of N
-# coefficients and Phi_N.  At N = 1,001,001 (3 * 333667) it took 0.5 s and
-# 88 MB of peak RSS, at N = 3,000,009 1.8 s and 231 MB.  Below the cap, an N
-# with many small primes still makes the reduction modulo Phi_N slow: 8 s at
-# N = 60060 = 2^2 * 3 * 5 * 7 * 11 * 13.
+# coefficients and Phi_N.  At N = 999,993 (l = 3, e = 333331, n = 5) it took
+# 0.35 to 0.51 s and 88.5 MB of peak RSS in one process (CPython 3.11,
+# x86-64): 6 ms for the sparse product, the rest building Phi_N and reducing
+# modulo it.  Below the cap, an N with many small primes still makes the
+# reduction modulo Phi_N slow: 8 s at N = 60060 = 2^2 * 3 * 5 * 7 * 11 * 13.
 MAX_CONDUCTOR = 10**6
 
 
@@ -420,9 +423,10 @@ def theta_p(spec: CycloSpec, l: int, n: int) -> CycloLaurent:
     """The specialised criterion, specialise(ariki_poly(l, n), spec_map_for(spec, l)).
 
     Zero unless ``is_semisimple``.  A conductor N above ``MAX_CONDUCTOR``
-    then raises ``DomainError``.  Otherwise the factors' images are
-    multiplied in Z[x]/(x^N - 1), kept sparse as {exponent mod N:
-    coefficient}, and the product is reduced modulo Phi_N once.
+    then raises ``DomainError``.  Otherwise ``cyclic_product`` multiplies
+    the factors' images in Z[x]/(x^N - 1), packed into one int or sparse as
+    N and the coefficient bound decide, and the product is reduced modulo
+    Phi_N once.
     """
     N, a, A = zeta_exponents(spec, l)
     if not is_semisimple(spec, l, n):
@@ -432,19 +436,10 @@ def theta_p(spec: CycloSpec, l: int, n: int) -> CycloLaurent:
             f"conductor N = lcm(l, e) = {N} for l = {l}, e = {spec.e} is above the cap of {MAX_CONDUCTOR}"
         )
     q_integers, pairs = _criterion_factors(l, n)
-    images = [Counter(a * j % N for j in range(i)) for i in q_integers]
-    images += [{(k * a + A[s]) % N: 1, A[t]: -1} for k, s, t in pairs]  # distinct keys: no pair vanishes
-    acc = {0: 1}
-    for image in images:
-        prod: dict[int, int] = {}
-        for x, c in acc.items():
-            for y, d in image.items():
-                z = (x + y) % N
-                prod[z] = prod.get(z, 0) + c * d
-        acc = {x: c for x, c in prod.items() if c}
-    row = [0] * N
-    for x, c in acc.items():
-        row[x] = c
+    # [i]_q maps to the run 1 + x^a + ... + x^(a(i-1)), and q^k Q_s - Q_t to
+    # x^(ka + A_s) - x^(A_t), whose exponents differ: no pair vanishes.
+    runs = [(a, i) for i in q_integers]
+    row = cyclic_product(N, runs, [((k * a + A[s]) % N, A[t]) for k, s, t in pairs])
     return CycloLaurent(N, {0: CyclotomicInt.from_powers(N, row)})
 
 

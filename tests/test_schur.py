@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ariki import schur
+from ariki import exactalg, schur
 from ariki.combinatorics import (
     ChargeData,
     Partition,
@@ -407,8 +407,11 @@ class TestLemmas:
 def criterion_cases(draw):
     """(spec, l, n, forced): composite and prime e, some with e' = 1, and
     with forced set, charges solved so that q^k Q_s - Q_t maps to zero."""
-    l, n = draw(st.sampled_from([(l, n) for l in (1, 2, 3) for n in range(1, 5)] + [(1, 5), (1, 6), (2, 5), (2, 6)]))
-    e = draw(st.sampled_from((2, 3, 4, 6, 8, 12, 5, 7, 101)))
+    cells = [(l, n) for l in (1, 2, 3) for n in range(1, 5)] + [(1, 5), (1, 6), (2, 5), (2, 6)]
+    # The benchmark's heavy cells and prime e.
+    cells += [(3, 5), (4, 1), (4, 2), (4, 3)]
+    l, n = draw(st.sampled_from(cells))
+    e = draw(st.sampled_from((2, 3, 4, 6, 8, 12, 5, 7, 101, 211, 499)))
     k = draw(st.sampled_from([k for k in range(1, e) if math.gcd(k, e) == 1]))
     r = draw(st.one_of(st.integers(1, 12), st.integers(1, 3).map(lambda m: m * e)))
     charges = draw(st.lists(st.integers(-6, 6), min_size=l, max_size=l))
@@ -444,6 +447,26 @@ class TestSemisimplicity:
         assert (value.render(), value.n) == (expanded.render(), expanded.n)
         if forced:
             assert not is_semisimple(spec, l, n) and value.render() == "0"
+
+    def test_packed_product_by_conductor(self, monkeypatch):
+        # theta_p multiplies the binomials in one packed int at the
+        # benchmark's conductors, and sparse at N = 300,009, where a packed
+        # step costs time in proportion to N and the product stays sparse.
+        steps = []
+
+        def counting(*args):
+            steps.append(args[1])
+            return packed_binomial(*args)
+
+        packed_binomial = exactalg._packed_binomial
+        monkeypatch.setattr(exactalg, "_packed_binomial", counting)
+        pairs = 3 * 9  # s < t, -n < k < n at l = 3, n = 5
+        cases = ((CycloSpec(499, 345, 3, (1, -4, 0)), pairs), (CycloSpec(100003, 1, 1, (0, 17, 33)), 0))
+        for spec, packed_steps in cases:
+            steps.clear()
+            assert is_semisimple(spec, 3, 5)
+            theta_p(spec, 3, 5)
+            assert len(steps) == packed_steps, spec
 
     def test_theta_p_examples(self):
         # l = 1, n = 1 has no factor at all; with e' = 1, q maps to 1 and [i]_q to i.
