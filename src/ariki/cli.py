@@ -89,10 +89,11 @@ def _add_spec_flags(parser: argparse.ArgumentParser, gpn: bool = False) -> None:
     parser.add_argument("--json", action="store_true")
 
 
-# Built once per process: the parser depends only on module constants, and
-# parse_args never changes it (every call gets a fresh Namespace).
+# Built once per process: the parsers depend only on module constants, and
+# parsing never changes them (every call gets a fresh Namespace).
 @lru_cache(maxsize=None)
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser, and each subcommand's parser by name."""
     parser = argparse.ArgumentParser(
         prog="ariki",
         description="Exact Schur elements, a-values and canonical basic sets "
@@ -139,7 +140,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-l", type=int, default=None)
     p.add_argument("--max-n", type=int, default=None)
     p.add_argument("--jobs", type=int, default=1)
-    return parser
+    return parser, sub.choices
 
 
 def _require_level(l: int | None) -> None:
@@ -352,9 +353,31 @@ _HANDLERS = {
 }
 
 
+def _parse(argv) -> argparse.Namespace:
+    """The namespace of the top-level parse_args(argv), with argv parsed once.
+
+    When argv[0] names a subcommand, that subcommand's parser alone reads the
+    rest, and leftover arguments get the message the top-level parser gives
+    them.  Any other argv (empty, --help, an unknown or abbreviated name) goes
+    to the top-level parser.
+    """
+    parser, commands = _build_parser()
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:])
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    args.command = argv[0]
+    return args
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    # The top-level parse_args reads all of argv, then hands the tail to the
+    # subcommand's parser, which reads it again.  Over round 0 of the decide
+    # benchmark workload (269 ops, about 50 ms in-process on a 2-core x86-64
+    # VM) that took 18 ms, the largest single cost; parsing once takes 10 ms.
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         code = _HANDLERS[args.command](args)
         # A reader that closed the pipe early shows here, not at exit.

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import io
@@ -20,6 +21,7 @@ from ariki.combinatorics import mp, multipartition_to_json
 from ariki.errors import InternalError
 from ariki.exactalg import MultiLaurent
 from ariki.schur import CycloSpec
+from test_round0_digest import workloads
 
 
 def run_cli(capsys, *argv):
@@ -1025,7 +1027,63 @@ class TestParserReuse:
         ["semisimple", "--l", "x"],
         ["verify", "--suite", "nope"],
         ["verify", "--suite", "examples", "--jobs"],
+        # Edge argvs for the dispatch to a subcommand's parser.  Those that
+        # parse end in a FlagError, so every entry but a help exits 2.
+        ["-h"],
+        ["semi"],
+        ["schur", "--lambda", "[[2]]", "extra"],
+        ["schur", "--lambda", "[[2]]", "avalue", "--lambda", "[[1]]"],
+        ["schur", "--", "--lambda", "[[2]]"],
+        ["schur", "--lambda", "[[2]]", "--"],
+        ["schur", "--lambda", "[[2]]", "--", "--json"],
+        ["schur", "--lam", "[[2]]", "--symbol-size", "-1"],
+        ["schur", "--lambda", "[[2]]", "--j", "--symbol-size", "-1"],
+        ["semisimple", "--l", "1", "--n", "2", "--e", "3", "--r", "1", "--charges", "-1,2"],
+        ["semisimple", "--l", "-3", "--n", "2", "--e", "3", "--r", "1", "--charges", "0"],
+        ["verify", "--suite", "examples", "--jobs", "1", "--jobs", "0"],
+        ["schur", "--lambda", "[[2]]", "--json=1"],
+        ["schur", "--lambda", "[[2]]", "-h"],
     ]
+
+    @staticmethod
+    def parse_outcome(capsys, parse, argv):
+        """parse(argv)'s exit code, stdout, stderr and vars(namespace); None for what it did not give."""
+        try:
+            code, namespace = None, vars(parse(argv))
+        except SystemExit as exc:
+            code, namespace = exc.code, None
+        out, err = capsys.readouterr()
+        return code, out, err, namespace
+
+    def test_dispatch_matches_the_top_level_parser(self, capsys, monkeypatch):
+        # The top-level parse_args, which reads argv twice, is the reference.
+        monkeypatch.setenv("COLUMNS", "100")
+        reference = cli._build_parser()[0].parse_args
+        for argv in self.PARSE_ERRORS + self.CALLS:
+            expected = self.parse_outcome(capsys, reference, argv)
+            assert self.parse_outcome(capsys, cli._parse, argv) == expected, argv
+
+    @pytest.mark.parametrize("seed", [workloads.DEFAULT_SEED, workloads.HELD_OUT_SEED])
+    def test_dispatch_matches_the_top_level_parser_on_round0(self, seed):
+        reference = cli._build_parser()[0].parse_args
+        for workload in workloads.WORKLOADS:
+            for op in workloads.round_ops(workload, seed, 0):
+                assert vars(cli._parse(op["argv"])) == vars(reference(op["argv"])), op["argv"]
+
+    def test_each_call_parses_once(self, capsys, monkeypatch):
+        parsed = []
+        parse_known_args = argparse.ArgumentParser.parse_known_args
+
+        def counted(self, *args, **kwargs):
+            parsed.append(self.prog)
+            return parse_known_args(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+        for argv in self.CALLS:
+            parsed.clear()
+            assert main(argv) == 0, argv
+            assert parsed == [f"ariki {argv[0]}"], argv
+        capsys.readouterr()
 
     def test_built_once_per_process(self, capsys):
         cli._build_parser.cache_clear()
@@ -1041,7 +1099,7 @@ class TestParserReuse:
             return run_or_exit(capsys, argv)
 
         expected = {tuple(argv): fresh(argv) for argv in self.PARSE_ERRORS + self.CALLS}
-        assert all(expected[tuple(argv)][0] == 2 for argv in self.PARSE_ERRORS)
+        assert all(expected[tuple(argv)][0] == (0 if "-h" in argv else 2) for argv in self.PARSE_ERRORS)
         cli._build_parser.cache_clear()
         for bad, good in zip(self.PARSE_ERRORS, itertools.cycle(self.CALLS)):
             assert run_or_exit(capsys, bad) == expected[tuple(bad)], bad
@@ -1053,7 +1111,7 @@ class TestParserReuse:
         assert code == 0 and out == "examples: PASS (21 checks)\nlemmas: PASS (13 checks)\n"
         code, out, _ = run_cli(capsys, "verify", "--suite", "examples")
         assert code == 0 and out == "examples: PASS (21 checks)\n"
-        assert cli._build_parser().parse_args(["verify"]).suite is None
+        assert cli._parse(["verify"]).suite is None
 
     def test_help_is_byte_identical_after_other_calls(self, capsys, monkeypatch):
         monkeypatch.setenv("COLUMNS", "100")
