@@ -1055,9 +1055,8 @@ class TestParserReuse:
         out, err = capsys.readouterr()
         return code, out, err, namespace
 
-    def test_dispatch_matches_the_top_level_parser(self, capsys, monkeypatch):
+    def test_dispatch_matches_the_top_level_parser(self, capsys):
         # The top-level parse_args, which reads argv twice, is the reference.
-        monkeypatch.setenv("COLUMNS", "100")
         reference = cli._build_parser()[0].parse_args
         for argv in self.PARSE_ERRORS + self.CALLS:
             expected = self.parse_outcome(capsys, reference, argv)
