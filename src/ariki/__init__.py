@@ -55,7 +55,6 @@ from .basicset import (
     assemble_basic_set_gpn,
     charge_for,
     dm_partition,
-    uglov_multipartitions,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -44,7 +44,7 @@ that order, and only a walked layer is sorted.  The assembly emits the
 basic set in canonical order from those layers, and sorts only when its
 classes interleave.  Partitions are validated only where they are
 emitted: once per distinct part tuple of the layers the assembly
-combines, and for the one layer that `uglov_multipartitions` returns.
+combines.
 """
 
 from __future__ import annotations
@@ -404,11 +404,6 @@ def uglov_levels(lc: int, n_max: int, charge: UglovCharge) -> list[tuple[tuple[t
     if all(a <= b for a, b in zip(s, s[1:])) and s[-1] - s[0] < ep:
         return list(map(tuple, _flotw_layers(n_max, s, ep)))
     return [tuple(sorted(layer, key=_vertex_key, reverse=True)) for layer in _crystal_walk(lc, n_max, charge)]
-
-
-def uglov_multipartitions(lc: int, nc: int, charge: UglovCharge) -> tuple[Multipartition, ...]:
-    """The rank-nc layer of the crystal component of the empty multipartition, in canonical order."""
-    return tuple(Multipartition(tuple(map(Partition, x))) for x in uglov_levels(lc, nc, charge)[nc])
 
 
 # ---------------------------------------------------------------------------

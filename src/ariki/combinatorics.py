@@ -14,8 +14,8 @@ unchanged.
 
 Partitions come from one table, ``partition_layers``: every rank up to a
 bound, no part repeated more than a cap, each rank in canonical order.
-``partitions_of``, ``enumerate_multipartitions`` and the level-1 crystal
-layers of ``basicset`` (cap e' - 1) read it; nothing is cached.
+``enumerate_multipartitions`` and the level-1 crystal layers of
+``basicset`` (cap e' - 1) read it; nothing is cached.
 """
 
 from __future__ import annotations
@@ -407,11 +407,6 @@ def partition_layers(n_max: int, cap: int | None = None) -> list[tuple[tuple[int
                 head = (j,) * m
                 layers[k] += [head + x for x in layers[k - j * m]]
     return [tuple(reversed(layer)) for layer in layers]
-
-
-def partitions_of(n: int) -> tuple[Partition, ...]:
-    """All partitions of n, sorted by the canonical partition order."""
-    return tuple(map(Partition, partition_layers(n)[n]))
 
 
 def compositions(n: int, parts: int) -> Iterable[tuple[int, ...]]:

@@ -97,14 +97,6 @@ class MultiLaurent:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, l: int) -> "MultiLaurent":
-        return cls(l, {})
-
-    @classmethod
-    def one(cls, l: int) -> "MultiLaurent":
-        return cls(l, {(0,) * (l + 1): 1})
-
-    @classmethod
     def term(cls, l: int, coeff: int, e_q: int = 0, e_Q: Iterable[int] = ()) -> "MultiLaurent":
         # Missing trailing exponents are 0; a vector that is too long is refused by __init__.
         exps = (e_q, *e_Q)
@@ -362,7 +354,7 @@ def product_divide(l: int, factors: Iterable[MultiLaurent]) -> MultiLaurent:
     """
     grid = _product_grid(l, factors)
     if grid is None:
-        return MultiLaurent.zero(l)
+        return MultiLaurent(l)
     coeffs, n_cols, lead, Q_runs = grid
     Qts = list(zip(*Q_runs)) or [()] * len(lead)
     # Every key has l + 1 fields and the grid holds no term twice, so the
@@ -653,18 +645,6 @@ class CyclotomicInt:
         self.coeffs = cs
 
     @classmethod
-    def zero(cls, n: int) -> "CyclotomicInt":
-        return cls(n, (0,) * _phi(n))
-
-    @classmethod
-    def from_int(cls, n: int, value: int) -> "CyclotomicInt":
-        return cls(n, (value,) + (0,) * (_phi(n) - 1))
-
-    @classmethod
-    def zeta_power(cls, n: int, k: int) -> "CyclotomicInt":
-        return cls.from_powers(n, [0] * (k % n) + [1])
-
-    @classmethod
     def from_powers(cls, n: int, coeffs: Iterable[int]) -> "CyclotomicInt":
         """sum(c_i * zeta^i) for coefficients c_0, c_1, ... of any length."""
         return cls(n, _reduce_mod_cyclotomic(coeffs, n))
@@ -725,10 +705,6 @@ class CycloLaurent:
                 if not c.is_zero():
                     clean[e] = c
         self.terms = clean
-
-    @classmethod
-    def zero(cls, n: int) -> "CycloLaurent":
-        return cls(n, {})
 
     def _check(self, other: "CycloLaurent") -> None:
         if self.n != other.n:

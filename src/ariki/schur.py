@@ -430,7 +430,7 @@ def theta_p(spec: CycloSpec, l: int, n: int) -> CycloLaurent:
     """
     N, a, A = zeta_exponents(spec, l)
     if not is_semisimple(spec, l, n):
-        return CycloLaurent.zero(N)
+        return CycloLaurent(N)
     if N > MAX_CONDUCTOR:
         raise DomainError(
             f"conductor N = lcm(l, e) = {N} for l = {l}, e = {spec.e} is above the cap of {MAX_CONDUCTOR}"

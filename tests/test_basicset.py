@@ -20,7 +20,6 @@ from ariki.basicset import (
     dm_partition,
     f_tilde,
     uglov_levels,
-    uglov_multipartitions,
 )
 from ariki.combinatorics import (
     Multipartition,
@@ -30,6 +29,7 @@ from ariki.combinatorics import (
     enumerate_multipartitions,
     mp,
     multipartition_to_json,
+    partition_layers,
     sigma_action,
 )
 from ariki.errors import DomainError
@@ -155,12 +155,12 @@ class TestCrystal:
 
     def test_worked_example_layers(self):
         ch1 = UglovCharge(2, (0, 0))
-        assert jset(uglov_multipartitions(2, 2, ch1)) == {"[[2],[]]", "[[1],[1]]"}
-        assert jset(uglov_multipartitions(2, 1, ch1)) == {"[[1],[]]"}
+        assert set(uglov_levels(2, 2, ch1)[2]) == {((2,), ()), ((1,), (1,))}
+        assert set(uglov_levels(2, 1, ch1)[1]) == {((1,), ())}
         ch2 = UglovCharge(2, (0,))
-        assert jset(uglov_multipartitions(1, 1, ch2)) == {"[[1]]"}
-        assert jset(uglov_multipartitions(1, 2, ch2)) == {"[[2]]"}
-        assert jset(uglov_multipartitions(1, 0, ch2)) == {"[[]]"}
+        assert set(uglov_levels(1, 1, ch2)[1]) == {((1,),)}
+        assert set(uglov_levels(1, 2, ch2)[2]) == {((2,),)}
+        assert set(uglov_levels(1, 0, ch2)[0]) == {((),)}
 
     def test_level_one_matches_regular_partitions(self):
         # Classical fact used as an independent oracle for the good-node
@@ -169,20 +169,15 @@ class TestCrystal:
         # set does not depend on the single charge entry.
         from collections import Counter
 
-        from ariki.combinatorics import partitions_of
-
         for e in (2, 3, 4, 5):
             for n in range(0, 9):
                 expected = {
                     p
-                    for p in partitions_of(n)
-                    if all(c < e for c in Counter(p.parts).values())
+                    for p in partition_layers(n)[n]
+                    if all(c < e for c in Counter(p).values())
                 }
                 for s in (0, 3):
-                    got = {
-                        m.components[0]
-                        for m in uglov_multipartitions(1, n, UglovCharge(e, (s,)))
-                    }
+                    got = {p for (p,) in uglov_levels(1, n, UglovCharge(e, (s,)))[n]}
                     assert got == expected
 
     def test_matches_cylindric_characterization(self):
@@ -217,16 +212,18 @@ class TestCrystal:
         for e, s in grid:
             charge = UglovCharge(e, s)
             for n in range(0, 6):
-                got = set(uglov_multipartitions(len(s), n, charge))
+                got = set(uglov_levels(len(s), n, charge)[n])
                 expected = {
-                    m for m in enumerate_multipartitions(len(s), n) if cylindric(m, s, e)
+                    tuple(c.parts for c in m.components)
+                    for m in enumerate_multipartitions(len(s), n)
+                    if cylindric(m, s, e)
                 }
                 assert got == expected, (e, s, n)
 
     def test_level_one_large_characteristic_gives_all(self):
         charge = UglovCharge(7, (0,))
         for n in range(0, 5):
-            assert len(uglov_multipartitions(1, n, charge)) == len(enumerate_multipartitions(1, n))
+            assert len(uglov_levels(1, n, charge)[n]) == len(enumerate_multipartitions(1, n))
 
     def test_levels_are_nested_one_node_apart(self):
         charge = UglovCharge(3, (1, -1))
@@ -247,19 +244,17 @@ class TestCrystal:
                 assert parents >= 1
 
     def test_degenerate_characteristic(self):
-        assert jset(uglov_multipartitions(1, 2, UglovCharge(1, (0,)))) == {"[[2]]", "[[1,1]]"}
+        assert set(uglov_levels(1, 2, UglovCharge(1, (0,)))[2]) == {((2,),), ((1, 1),)}
         # e' = 1 at level 1: every partition survives, with no multiplicity bound.
-        from ariki.combinatorics import partitions_of
-
         levels = uglov_levels(1, 10, UglovCharge(1, (0,)))
-        assert levels == [tuple((p.parts,) for p in partitions_of(n)) for n in range(11)]
-        assert list(map(set, levels)) == [{(p.parts,) for p in partitions_of(n)} for n in range(11)]
+        assert levels == [tuple((p,) for p in partition_layers(n)[n]) for n in range(11)]
+        assert list(map(set, levels)) == [{(p,) for p in partition_layers(n)[n]} for n in range(11)]
         # e' = 1 at level 2: only rank 0, from the FLOTW generator at the
         # cylindric (0, 0) and from the walk at (0, 3).
         for s in ((0, 0), (0, 3)):
-            assert jset(uglov_multipartitions(2, 0, UglovCharge(1, s))) == {"[[],[]]"}
+            assert set(uglov_levels(2, 0, UglovCharge(1, s))[0]) == {((), ())}
             with pytest.raises(DomainError):
-                uglov_multipartitions(2, 1, UglovCharge(1, s))
+                uglov_levels(2, 1, UglovCharge(1, s))
 
 
 def _reference_addable(parts):

@@ -32,7 +32,6 @@ from ariki.combinatorics import (
     n_function,
     orbit_and_stabilizer,
     partition_layers,
-    partitions_of,
     rebar,
     scaled_kappa,
     sigma_action,
@@ -45,8 +44,8 @@ partition_parts = st.lists(st.integers(1, 6), max_size=6).map(
 
 
 def all_partitions_up_to(n):
-    for k in range(n + 1):
-        yield from partitions_of(k)
+    for layer in partition_layers(n):
+        yield from map(Partition, layer)
 
 
 def _partition_key(p):
@@ -557,7 +556,7 @@ class TestEnumeration:
 
     def test_count_oracle(self):
         # Sum over compositions of products of partition counts.
-        pcount = [len(partitions_of(k)) for k in range(5)]
+        pcount = list(map(len, partition_layers(4)))
         expected = 0
         for a in range(5):
             for b in range(5 - a):
@@ -570,7 +569,7 @@ class TestEnumeration:
     def test_sorted_canonically(self):
         # Both enumerations emit canonical order as they are built; neither sorts.
         for n in range(13):
-            got = partitions_of(n)
+            got = tuple(map(Partition, partition_layers(n)[n]))
             assert list(got) == sorted(got, key=_partition_key)
         for l in range(1, 5):
             for n in range(7):
@@ -613,7 +612,7 @@ class TestPartitionTable:
     # Oracles: the recursions the table replaced, and a multiplicity filter.
     def test_partitions_match_recursion(self):
         for n in range(21):
-            assert partitions_of(n) == _reference_partitions(n), n
+            assert tuple(map(Partition, partition_layers(n)[n])) == _reference_partitions(n), n
 
     def test_multipartitions_match_recursion(self):
         for l in range(1, 5):
@@ -632,7 +631,7 @@ class TestPartitionTable:
                     assert sorted(layer, key=lambda x: _partition_key(Partition(x))) == list(layer)
 
     def test_negative_rank_is_refused(self):
-        for call in (lambda: partition_layers(-1), lambda: partitions_of(-1), lambda: partition_layers(-2, 3)):
+        for call in (lambda: partition_layers(-1), lambda: partition_layers(-2, 3)):
             with pytest.raises(DomainError, match="cannot partition a negative integer"):
                 call()
 

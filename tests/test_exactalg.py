@@ -59,11 +59,11 @@ class TestRing:
     def test_monomial_inverses(self):
         a = MultiLaurent(1, {(-1, 1): 1})
         b = MultiLaurent(1, {(1, -1): 1})
-        assert a * b == MultiLaurent.one(1)
+        assert a * b == MultiLaurent.term(1, 1)
 
     def test_mixed_widths_rejected(self):
         with pytest.raises(DomainError):
-            MultiLaurent.one(1) + MultiLaurent.one(2)
+            MultiLaurent.term(1, 1) + MultiLaurent.term(2, 1)
         with pytest.raises(DomainError):
             MultiLaurent(1, {(0,): 1})
 
@@ -150,7 +150,7 @@ def kernel_cases(draw):
     def factor():
         kind = draw(st.sampled_from(["q-run", "q-run", "spread", "spread", "unit", "zero"]))
         if kind == "zero":
-            return MultiLaurent.zero(l)
+            return MultiLaurent(l)
         unit = draw(st.sampled_from([1, -1]))
         if kind == "unit":
             return MultiLaurent(l, {(0,) * (l + 1): unit})
@@ -182,18 +182,18 @@ class TestExactDivide:
 
     def test_zero_cases(self):
         x = q_poly((1, 1), (0, -1))
-        assert product_divide(1, [x, MultiLaurent.zero(1), x]).is_zero()
-        assert product_divide(1, []) == MultiLaurent.one(1)
-        assert render_product(1, [x, MultiLaurent.zero(1), x]) == "0"
+        assert product_divide(1, [x, MultiLaurent(1), x]).is_zero()
+        assert product_divide(1, []) == MultiLaurent.term(1, 1)
+        assert render_product(1, [x, MultiLaurent(1), x]) == "0"
         assert render_product(1, []) == "1"
         with pytest.raises(DomainError):
-            product_divide(1, [x, MultiLaurent.one(2)])
+            product_divide(1, [x, MultiLaurent.term(2, 1)])
 
     @pytest.mark.parametrize("finisher", [product_divide, render_product])
     def test_zero_factor_checks_every_variable_count(self, finisher):
         # A zero factor does not end the check: the other factor's count is
         # refused in either order.
-        for factors in ([MultiLaurent.zero(1), MultiLaurent.one(2)], [MultiLaurent.one(2), MultiLaurent.zero(1)]):
+        for factors in ([MultiLaurent(1), MultiLaurent.term(2, 1)], [MultiLaurent.term(2, 1), MultiLaurent(1)]):
             with pytest.raises(DomainError, match="mixed variable counts: 2 != 1"):
                 finisher(1, factors)
 
@@ -214,7 +214,7 @@ class TestExactDivide:
     def test_product_divide_matches_chain(self):
         l = 1
         fs = [q_poly((1, 1), (0, -1)), q_poly((2, 1), (0, 1)), q_poly((0, 3))]
-        chained = MultiLaurent.one(l)
+        chained = MultiLaurent.term(l, 1)
         for f in fs:
             chained = chained * f
         assert product_divide(l, fs) == chained
@@ -223,7 +223,7 @@ class TestExactDivide:
     @settings(max_examples=300, deadline=None)
     def test_product_divide_matches_chained_mul(self, case):
         l, factors = case
-        chained = MultiLaurent.one(l)
+        chained = MultiLaurent.term(l, 1)
         for f in factors:
             chained = chained * f
         product = product_divide(l, factors)
@@ -236,7 +236,7 @@ class TestExactDivide:
     @settings(max_examples=400, deadline=None)
     def test_product_divide_edge_cases_match_chained_mul(self, case):
         l, factors = case
-        chained = MultiLaurent.one(l)
+        chained = MultiLaurent.term(l, 1)
         for f in factors:
             chained = chained * f
         product = product_divide(l, factors)
@@ -293,7 +293,7 @@ class TestExactDivide:
             q_minus_1 = MultiLaurent(2, {(1, 0, 0): 1, (0, 0, 0): -1})
             cross = MultiLaurent(2, {(1, 1, -1): 1, (0, 0, 0): -1})
             for factors in ([alone], [spread], [spread, q_minus_1], [cross, spread, spread], [alone, spread]):
-                chained = MultiLaurent.one(2)
+                chained = MultiLaurent.term(2, 1)
                 for f in factors:
                     chained = chained * f
                 product = product_divide(2, factors)
@@ -402,8 +402,8 @@ class TestRender:
     def test_golden(self):
         f = MultiLaurent(2, {(2, 1, 0): 1, (0, 0, 1): -1, (0, 0, 0): 1})
         assert f.render() == "q^2*Q0 - Q1 + 1"
-        assert MultiLaurent.zero(2).render() == "0"
-        assert MultiLaurent.one(2).render() == "1"
+        assert MultiLaurent(2).render() == "0"
+        assert MultiLaurent.term(2, 1).render() == "1"
         g = MultiLaurent(1, {(0, 1): -2, (-1, 0): 1})
         assert g.render() == "-2*Q0 + q^-1"
         assert MultiLaurent(1, {(0, -1): 1}).render() == "Q0^-1"
@@ -455,18 +455,18 @@ def _ref_reduce(coeffs, n):
 
 
 @lru_cache(maxsize=None)
-def _ref_zeta_power(n, a):
+def _ref_zeta(n, a):
     return CyclotomicInt(n, _ref_reduce([0] * a + [1], n))
 
 
 def _ref_specialise(f, theta):
     # The per-term sum of c * zeta^a * u^b.
     n = theta.n
-    out = CycloLaurent.zero(n)
+    out = CycloLaurent(n)
     for exps, c in f.terms.items():
         a = exps[0] * theta.q_image[0] + sum(e * aj for e, (aj, _) in zip(exps[1:], theta.Q_images))
         b = exps[0] * theta.q_image[1] + sum(e * bj for e, (_, bj) in zip(exps[1:], theta.Q_images))
-        zeta_a = _ref_zeta_power(n, a % n)
+        zeta_a = _ref_zeta(n, a % n)
         out = out + CycloLaurent(n, {b: CyclotomicInt(n, (c * x for x in zeta_a.coeffs))})
     return out
 
@@ -559,9 +559,9 @@ class TestCyclotomicKernels:
         assert u_valuation(f, theta) == 2
         assert reduced == [[1, 1], [2, 2], [3, 0]]
         assert u_valuation(MultiLaurent(1, vanishing), theta) is None
-        assert u_valuation(MultiLaurent.zero(1), theta) is None
+        assert u_valuation(MultiLaurent(1), theta) is None
         with pytest.raises(DomainError, match="map has 1 Q-images, polynomial has 2"):
-            u_valuation(MultiLaurent.one(2), theta)
+            u_valuation(MultiLaurent.term(2, 1), theta)
 
 
 class TestCyclotomic:
@@ -579,22 +579,22 @@ class TestCyclotomic:
             assert prod == [-1] + [0] * (n - 1) + [1], n
 
     def test_zeta_squares(self):
-        z4 = CyclotomicInt.zeta_power(4, 1)
-        assert z4 * z4 == CyclotomicInt.from_int(4, -1)
-        z3 = CyclotomicInt.zeta_power(3, 1)
+        z4 = CyclotomicInt.from_powers(4, [0, 1])
+        assert z4 * z4 == CyclotomicInt.from_powers(4, [-1])
+        z3 = CyclotomicInt.from_powers(3, [0, 1])
         assert z3 * z3 == CyclotomicInt(3, (-1, -1))
 
     def test_zeta_order(self):
         for n in range(1, 25):
-            acc = CyclotomicInt.from_int(n, 1)
-            z = CyclotomicInt.zeta_power(n, 1)
+            acc = CyclotomicInt.from_powers(n, [1])
+            z = CyclotomicInt.from_powers(n, [0, 1])
             for _ in range(n):
                 acc = acc * z
-            assert acc == CyclotomicInt.from_int(n, 1)
+            assert acc == CyclotomicInt.from_powers(n, [1])
 
     def test_mixed_conductors_rejected(self):
         with pytest.raises(DomainError):
-            CyclotomicInt.from_int(3, 1) + CyclotomicInt.from_int(4, 1)
+            CyclotomicInt.from_powers(3, [1]) + CyclotomicInt.from_powers(4, [1])
 
 
 def _ref_cyclo_render(x):
@@ -627,11 +627,11 @@ class TestCycloRendering:
         assert CyclotomicInt(4, (1, -1)).render() == "1 - z"
         assert CyclotomicInt(6, (-1, 3)).render() == "-1 + 3*z"
         assert CyclotomicInt(5, (0, -1, 0, -2)).render() == "-z - 2*z^3"
-        assert CyclotomicInt.zero(3).render() == "0"
-        one, z = CyclotomicInt.from_int(4, 1), CyclotomicInt.zeta_power(4, 1)
+        assert CyclotomicInt.from_powers(3, ()).render() == "0"
+        one, z = CyclotomicInt.from_powers(4, [1]), CyclotomicInt.from_powers(4, [0, 1])
         f = CycloLaurent(4, {-2: one + z, 0: -z, 1: one})
         assert f.render() == "(1)*u + (-z) + (1 + z)*u^-2"
-        assert CycloLaurent.zero(4).render() == "0"
+        assert CycloLaurent(4).render() == "0"
 
     @given(cyclo_laurents())
     @settings(max_examples=300, deadline=None)
@@ -643,19 +643,19 @@ class TestCycloRendering:
 
 class TestCycloLaurent:
     def test_valuation(self):
-        one = CyclotomicInt.from_int(1, 1)
+        one = CyclotomicInt.from_powers(1, [1])
         f = CycloLaurent(1, {-1: one, 0: one})
         assert f.valuation() == -1
-        assert CycloLaurent(1, {0: CyclotomicInt.from_int(1, 5)}).valuation() == 0
+        assert CycloLaurent(1, {0: CyclotomicInt.from_powers(1, [5])}).valuation() == 0
         g = CycloLaurent(1, {3: one, 5: -one})
         assert g.valuation() == 3
 
     def test_valuation_of_zero_rejected(self):
         with pytest.raises(DomainError):
-            CycloLaurent.zero(4).valuation()
+            CycloLaurent(4).valuation()
 
     def test_zero_coefficients_dropped(self):
-        z = CyclotomicInt.zero(4)
+        z = CyclotomicInt.from_powers(4, ())
         assert CycloLaurent(4, {2: z}).is_zero()
 
 
@@ -664,7 +664,7 @@ class TestSpecialise:
         theta = SpecMap(n=1, q_image=(0, 1), Q_images=((0, 0),))
         f = q_poly((1, 1), (0, 1))
         out = specialise(f, theta)
-        one = CyclotomicInt.from_int(1, 1)
+        one = CyclotomicInt.from_powers(1, [1])
         assert out == CycloLaurent(1, {1: one, 0: one})
 
     def test_charge_difference(self):
@@ -684,4 +684,4 @@ class TestSpecialise:
     def test_wrong_width(self):
         theta = SpecMap(n=2, q_image=(0, 1), Q_images=((0, 0),))
         with pytest.raises(DomainError):
-            specialise(MultiLaurent.one(2), theta)
+            specialise(MultiLaurent.term(2, 1), theta)

@@ -3,8 +3,9 @@
 Independent oracles belong in ``verify`` and the tests, not on production
 paths.  The production modules are parsed, not imported.  A public function,
 class or method defined at the top level of a defining module is unread when
-no production module reads its name, as a name or as an attribute, outside
-its own body.  Each unread definition kept is named here with its reason, so
+no production module reads its name outside its own body: a function or class
+as a name or as an attribute, a method as an attribute only, since a bare
+name cannot reach it and a local variable of that name is no read.  Each unread definition kept is named here with its reason, so
 code that only an oracle calls has to be argued for, and an entry whose name
 is read again has to go.
 """
@@ -18,15 +19,11 @@ DEFINING = ("combinatorics", "exactalg", "schur", "basicset")
 READING = ("cli", "combinatorics", "exactalg", "schur", "basicset", "errors")
 
 TRACER_TARGET = "a perfbench/tracing.py target; it moves once the tracer stops patching"
-RING_API = "ring API that the tests and the fuzz suite build their references with"
 
 ALLOWED = {
     "combinatorics.dominates": "README API, used by the dominance suite",
     "combinatorics.multiset_dominates": "README API, used by the dominance suite",
-    "combinatorics.partitions_of": "named in the README's Layout section, used by the tests",
-    "exactalg.MultiLaurent.one": RING_API,
-    "exactalg.CyclotomicInt.from_int": RING_API,
-    "exactalg.CyclotomicInt.zeta_power": RING_API,
+    "exactalg.CycloLaurent.valuation": "the reference that tests/test_exactalg.py compares u_valuation against",
     "exactalg.specialise": "an entry point of perfbench/oracles.py",
     "schur.spec_map_root_of_unity": "an entry point of perfbench/oracles.py",
     "schur.spec_map_for": "the semisimple suite's oracle specialises through it",
@@ -34,17 +31,17 @@ ALLOWED = {
     "schur.schur_gim": TRACER_TARGET,
     "schur.ariki_poly": TRACER_TARGET,
     "basicset.f_tilde": TRACER_TARGET,
-    "basicset.uglov_multipartitions": "used by the examples suite and the tests",
 }
 
 
 def _reads(tree) -> Counter:
+    """Name reads under their name, attribute reads under "." + their name."""
     found = Counter()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             found[node.id] += 1
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            found[node.attr] += 1
+            found["." + node.attr] += 1
     return found
 
 
@@ -59,7 +56,10 @@ def _unread_definitions() -> set[str]:
             if isinstance(node, ast.ClassDef):
                 defs += [(f"{node.name}.{f.name}", f) for f in node.body if isinstance(f, ast.FunctionDef)]
             for qualname, d in defs:
-                if not d.name.startswith("_") and reads[d.name] == _reads(d)[d.name]:
+                # A bare name never reaches a method: it reads some other binding.
+                keys = ["." + d.name] if "." in qualname else [d.name, "." + d.name]
+                own = _reads(d)
+                if not d.name.startswith("_") and all(reads[k] == own[k] for k in keys):
                     unread.add(f"{module}.{qualname}")
     return unread
 
