@@ -57,6 +57,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .combinatorics import (
+    ChargeData,
     Multipartition,
     Partition,
     canonical_key,
@@ -165,7 +166,7 @@ def charge_for(dm: DMPartition, class_index: int, spec: CycloSpec) -> UglovCharg
             raise InternalError(f"s_{idx} = {sj} does not solve its charge congruence")
     diagnostics: list[str] = []
     eq4 = True
-    m = spec.charge_data().m
+    m = ChargeData(spec.r, spec.charges).m
     for idx, sj in zip(cls, s):
         lhs = m[idx] - m[cls[0]]
         rhs = sj - Fraction(spec.e * (idx - cls[0]), spec.k * l * spec.r)

@@ -270,10 +270,6 @@ def _cmd_avalue(args) -> int:
     return _print_routes(values, args.json)
 
 
-def _params_obj(spec: CycloSpec, l: int, n: int) -> dict:
-    return {"l": l, "n": n, "e": spec.e, "k": spec.k, "r": spec.r, "charges": list(spec.charges)}
-
-
 def _warn(diagnostics: tuple[str, ...]) -> None:
     for diag in diagnostics:
         print(f"warning: {diag}", file=sys.stderr)
@@ -287,7 +283,10 @@ def _cmd_basicset(args) -> int:
         print(
             json.dumps(
                 {
-                    "params": _params_obj(spec, args.l, args.n),
+                    "params": {
+                        "l": args.l, "n": args.n, "e": spec.e, "k": spec.k, "r": spec.r,
+                        "charges": list(spec.charges),
+                    },
                     "elements": [multipartition_to_obj(x) for x in bs.elements],
                 }
             )
@@ -373,10 +372,6 @@ def _parse(argv) -> argparse.Namespace:
 
 
 def main(argv=None) -> int:
-    # The top-level parse_args reads all of argv, then hands the tail to the
-    # subcommand's parser, which reads it again.  Over round 0 of the decide
-    # benchmark workload (269 ops, about 50 ms in-process on a 2-core x86-64
-    # VM) that took 18 ms, the largest single cost; parsing once takes 10 ms.
     args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         code = _HANDLERS[args.command](args)

@@ -58,9 +58,6 @@ class Partition:
         """Row i (1-based); 0 beyond the last stored part."""
         return self.parts[i - 1] if 1 <= i <= len(self.parts) else 0
 
-    def contains(self, i: int, j: int) -> bool:
-        return i >= 1 and 1 <= j <= self.part(i)
-
     def nodes(self) -> Iterable[tuple[int, int]]:
         for i, p in enumerate(self.parts, start=1):
             for j in range(1, p + 1):
@@ -150,7 +147,7 @@ def n_function(p: Partition) -> int:
 
 def gen_hook_length(lam: Partition, mu: Partition, i: int, j: int) -> int:
     """lambda_i - i + mu'_j - j + 1; the classical hook length when mu == lam."""
-    if not lam.contains(i, j):
+    if not 1 <= j <= lam.part(i):
         raise DomainError(f"node ({i},{j}) lies outside the partition {lam.parts}")
     mu_conj_j = sum(1 for part in mu.parts if part >= j)
     return lam.parts[i - 1] - i + mu_conj_j - j + 1

@@ -117,16 +117,10 @@ class MultiLaurent:
                 out[exps] = v
             elif exps in out:
                 del out[exps]
-        res = MultiLaurent.__new__(MultiLaurent)
-        res.l = self.l
-        res.terms = out
-        return res
+        return _unchecked(self.l, out)
 
     def __neg__(self) -> "MultiLaurent":
-        res = MultiLaurent.__new__(MultiLaurent)
-        res.l = self.l
-        res.terms = {exps: -c for exps, c in self.terms.items()}
-        return res
+        return _unchecked(self.l, {exps: -c for exps, c in self.terms.items()})
 
     def __sub__(self, other: "MultiLaurent") -> "MultiLaurent":
         return self + (-other)
@@ -147,10 +141,7 @@ class MultiLaurent:
                     out[exps] = v
                 elif exps in out:
                     del out[exps]
-        res = MultiLaurent.__new__(MultiLaurent)
-        res.l = self.l
-        res.terms = out
-        return res
+        return _unchecked(self.l, out)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MultiLaurent):
@@ -176,6 +167,14 @@ class MultiLaurent:
         empty.  This is ``render_product`` of the one factor.
         """
         return render_product(self.l, [self])
+
+
+def _unchecked(l: int, terms: dict[tuple[int, ...], int]) -> MultiLaurent:
+    """A MultiLaurent of terms that a kernel built: every key has l + 1 fields and no value is 0."""
+    res = MultiLaurent.__new__(MultiLaurent)
+    res.l = l
+    res.terms = terms
+    return res
 
 
 # Signed array typecodes by word size in bytes.
@@ -357,17 +356,13 @@ def product_divide(l: int, factors: Iterable[MultiLaurent]) -> MultiLaurent:
         return MultiLaurent(l)
     coeffs, n_cols, lead, Q_runs = grid
     Qts = list(zip(*Q_runs)) or [()] * len(lead)
-    # Every key has l + 1 fields and the grid holds no term twice, so the
-    # validating constructor is skipped.
-    res = MultiLaurent.__new__(MultiLaurent)
-    res.l = l
-    res.terms = {
+    # Every key has l + 1 fields and the grid holds no term twice.
+    return _unchecked(l, {
         (c + j,) + Qt: v
         for j in range(n_cols - 1, -1, -1)
         for c, Qt, v in zip(lead, Qts, coeffs[j::n_cols])
         if v
-    }
-    return res
+    })
 
 
 def _signed(c: int, unit: str) -> str:
@@ -521,10 +516,6 @@ def _modulus(n: int) -> tuple[int, int, int, tuple[tuple[int, int], ...]]:
     return len(phi_n) - 1, n - step, step, tail
 
 
-def _phi(n: int) -> int:
-    return _modulus(n)[0]
-
-
 def _reduce_mod_cyclotomic(coeffs: list[int], n: int) -> tuple[int, ...]:
     """The power-basis vector of sum(c_i x^i) modulo Phi_n.
 
@@ -640,8 +631,9 @@ class CyclotomicInt:
     def __init__(self, n: int, coeffs: Iterable[int]):
         self.n = n
         cs = tuple(coeffs)
-        if len(cs) != _phi(n):
-            raise DomainError(f"expected {_phi(n)} coordinates for conductor {n}, got {len(cs)}")
+        phi = _modulus(n)[0]
+        if len(cs) != phi:
+            raise DomainError(f"expected {phi} coordinates for conductor {n}, got {len(cs)}")
         self.coeffs = cs
 
     @classmethod

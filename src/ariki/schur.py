@@ -87,9 +87,6 @@ class CycloSpec:
     def level(self) -> int:
         return len(self.charges)
 
-    def charge_data(self) -> ChargeData:
-        return ChargeData(self.r, self.charges)
-
 
 def spec_map_cyclotomic(charge: ChargeData) -> SpecMap:
     """q -> u^r, Q_j -> zeta_l^j u^(r_j), over Z[zeta_l]."""
@@ -129,13 +126,6 @@ def spec_map_for(spec: CycloSpec, l: int) -> SpecMap:
 
 # ---------------------------------------------------------------------------
 # Polynomial building blocks
-
-
-def _cross_factor(l: int, h: int, s: int, t: int) -> MultiLaurent:
-    """q^h Q_s Q_t^(-1) - 1."""
-    e = [0] * (l + 1)
-    e[0], e[1 + s], e[1 + t] = h, 1, -1
-    return MultiLaurent(l, {tuple(e): 1, (0,) * (l + 1): -1})
 
 
 class _Factors:
@@ -218,7 +208,9 @@ class _Factors:
                 phi = cyclotomic_polynomial(key[1])
                 poly = MultiLaurent(l, {(i,) + (0,) * l: c for i, c in enumerate(phi)})
             else:
-                poly = _cross_factor(l, *key[1:])
+                e = [0] * (l + 1)
+                e[0], e[1 + key[2]], e[1 + key[3]] = key[1], 1, -1
+                poly = MultiLaurent(l, {tuple(e): 1, (0,) * (l + 1): -1})
             factors += [poly] * k
         return factors
 

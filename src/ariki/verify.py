@@ -599,10 +599,6 @@ def verify_fuzz():
 # worked examples
 
 
-def _as_json_set(elements) -> set[str]:
-    return {multipartition_to_json(x) for x in elements}
-
-
 @_suite("example-basic-set")
 def verify_example_basic_set():
     """G(3,1,2) with e=12, k=1, r=6, charges (3,-1,-2)."""
@@ -623,13 +619,13 @@ def verify_example_basic_set():
     for level, rank, ch, expected, msg in layers:
         yield 1, None if set(uglov_levels(level, rank, ch)[rank]) == expected else msg
     bs = assemble_basic_set(spec, 3, 2)
-    elements = _as_json_set(bs.elements)
+    elements = {multipartition_to_json(x) for x in bs.elements}
     expected = {"[[2],[],[]]", "[[1],[1],[]]", "[[1],[],[1]]", "[[],[],[2]]"}
     yield 1, None if elements == expected else f"basic set {elements}"
     yield 1, None if len(bs.elements) == 4 else "basic set size"
     # Computable part of the triangularity witness: distinct kappas and
     # three-route a-value agreement on the basic set.
-    charge = spec.charge_data()
+    charge = ChargeData(spec.r, spec.charges)
     size = max(min_symbol_size(lam, charge) for lam in bs.elements)
     kappas = [scaled_kappa(lam, charge, size) for lam in bs.elements]
     yield 1, None if len(set(kappas)) == len(kappas) else "kappa sequences should be pairwise distinct"
@@ -645,7 +641,7 @@ def verify_example_orbits():
     spec2 = CycloSpec(e=12, k=1, r=2, charges=(0,))
     ambient = CycloSpec(e=12, k=1, r=6, charges=(0, 0, 0))
     bs2 = assemble_basic_set(ambient, 3, 2)
-    elements = _as_json_set(bs2.elements)
+    elements = {multipartition_to_json(x) for x in bs2.elements}
     expected = {"[[1],[1],[]]", "[[],[1],[1]]", "[[1],[],[1]]", "[[2],[],[]]", "[[],[2],[]]", "[[],[],[2]]"}
     yield 1, None if elements == expected else f"ambient basic set {elements}"
     yield 1, None if len(bs2.elements) == 6 else "ambient basic set size"

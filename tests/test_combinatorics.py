@@ -98,6 +98,12 @@ class TestHooks:
     def test_outside_node_rejected(self):
         with pytest.raises(DomainError):
             gen_hook_length(Partition((2,)), Partition((2,)), 2, 1)
+        # Just past each edge of (3, 1): row 0, a negative row, column 0, and
+        # one past the end of each row.
+        lam = Partition((3, 1))
+        for i, j in [(0, 1), (-1, 1), (1, 0), (2, 0), (1, 4), (2, 2)]:
+            with pytest.raises(DomainError):
+                gen_hook_length(lam, lam, i, j)
 
     def test_can_be_nonpositive_for_distinct_shapes(self):
         assert gen_hook_length(Partition((1,)), Partition(()), 1, 1) == 0

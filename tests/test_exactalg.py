@@ -15,8 +15,8 @@ from ariki.exactalg import (
     CyclotomicInt,
     MultiLaurent,
     SpecMap,
+    _modulus,
     _over_binomial,
-    _phi,
     _poly_mul,
     _reduce_mod_cyclotomic,
     _times_binomial,
@@ -618,7 +618,8 @@ def _ref_laurent_render(f):
 def cyclo_laurents(draw):
     n = draw(st.integers(1, 30))
     coeff = st.one_of(st.sampled_from([0, 1, -1]), st.integers(-50, 50))
-    element = st.lists(coeff, min_size=_phi(n), max_size=_phi(n)).map(lambda cs: CyclotomicInt(n, cs))
+    phi = _modulus(n)[0]
+    element = st.lists(coeff, min_size=phi, max_size=phi).map(lambda cs: CyclotomicInt(n, cs))
     return CycloLaurent(n, draw(st.dictionaries(st.integers(-5, 5), element, max_size=4)))
 
 

@@ -4,7 +4,9 @@ Each ``src/ariki`` module is parsed, not imported.  A name counts as used
 when it is read anywhere in the module, annotations included.  An import
 left behind after its last use moved elsewhere fails here.  ``__init__.py``
 is exempt from that rule: its imports are the package's exports.  No module
-imports another module's private (underscore) name.
+imports another module's private (underscore) name, and none imports the
+package by its absolute name, so that two copies of it can be loaded side by
+side and each reads only its own modules.
 """
 
 import ast
@@ -51,3 +53,15 @@ def test_no_private_name_is_imported(name):
         if alias.name.startswith("_")
     ]
     assert private == [], name
+
+
+def _names_the_package(module):
+    return module == "ariki" or module.startswith("ariki.")
+
+
+@pytest.mark.parametrize("name", sorted(TREES))
+def test_no_absolute_import_of_the_package(name):
+    absolute = [node.lineno for node in nodes(name, ast.Import) if any(_names_the_package(a.name) for a in node.names)]
+    # A relative import (level > 0) may have no module name at all.
+    absolute += [node.lineno for node in nodes(name, ast.ImportFrom) if node.level == 0 and _names_the_package(node.module)]
+    assert absolute == [], name

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -519,6 +520,24 @@ class TestSemisimplicity:
             CycloSpec(4, 1, 0, (0,))
 
 
+@st.composite
+def defect0_cases(draw):
+    """(l, n, e, v) with l <= 3, n <= 6 (n <= 5 at l = 3), e from 2 to 8 and every v_s in [-5, 5]."""
+    l = draw(st.integers(1, 3))
+    n = draw(st.integers(0, 5 if l == 3 else 6))
+    e = draw(st.integers(2, 8))
+    return l, n, e, tuple(draw(st.lists(st.integers(-5, 5), min_size=l, max_size=l)))
+
+
+def residue_content(lam, e, v):
+    """(c_0, ..., c_(e-1)): how many nodes (i, j) of each component c have residue (v_c + j - i) mod e."""
+    counts = [0] * e
+    for c, comp in enumerate(lam.components):
+        for i, j in comp.nodes():
+            counts[(v[c] + j - i) % e] += 1
+    return tuple(counts)
+
+
 class TestDefectZero:
     def test_examples(self):
         assert is_defect_zero(mp([1]), 2, (0,))
@@ -537,6 +556,32 @@ class TestDefectZero:
                     for lam in enumerate_multipartitions(len(v), n):
                         nonzero = not specialise(schur_cancellation_free(lam), theta).is_zero()
                         assert is_defect_zero(lam, e, v) == nonzero
+
+    # Two routes that read neither hooks nor Schur elements, only residues.
+
+    @given(defect0_cases())
+    @settings(max_examples=400, deadline=None)
+    def test_block_route(self, case):
+        # Lyle-Mathas: two Specht modules lie in one block iff their residue
+        # contents agree.  A block that holds one Specht module is simple, so
+        # lam has defect 0 iff no other multipartition shares its content.
+        l, n, e, v = case
+        lams = enumerate_multipartitions(l, n)
+        contents = [residue_content(lam, e, v) for lam in lams]
+        blocks = Counter(contents)
+        assert [blocks[c] == 1 for c in contents] == [is_defect_zero(lam, e, v) for lam in lams]
+
+    @given(defect0_cases())
+    @settings(max_examples=400, deadline=None)
+    def test_weight_route(self, case):
+        # Fayers: w = sum_s c_(v_s) - (1/2) sum_(i in Z/e) (c_i - c_(i+1))^2,
+        # a non-negative integer, and lam has defect 0 iff w = 0.
+        l, n, e, v = case
+        for lam in enumerate_multipartitions(l, n):
+            c = residue_content(lam, e, v)
+            twice_w = 2 * sum(c[vs % e] for vs in v) - sum((c[i] - c[(i + 1) % e]) ** 2 for i in range(e))
+            assert twice_w >= 0 and twice_w % 2 == 0
+            assert (twice_w == 0) == is_defect_zero(lam, e, v)
 
 
 class TestValuationAValue:
