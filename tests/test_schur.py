@@ -530,7 +530,7 @@ def defect0_cases(draw):
 
 
 def residue_content(lam, e, v):
-    """(c_0, ..., c_(e-1)): how many nodes (i, j) of each component c have residue (v_c + j - i) mod e."""
+    """(c_0, ..., c_(e-1)): c_k counts the nodes of lam of residue k; node (i, j) of component c has (v_c + j - i) mod e."""
     counts = [0] * e
     for c, comp in enumerate(lam.components):
         for i, j in comp.nodes():
